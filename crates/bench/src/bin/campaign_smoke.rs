@@ -3,13 +3,13 @@
 //! `records.csv`), plus the aggregated metrics as `<stem>.metrics.csv`
 //! and `<stem>.metrics.json`.
 //!
-//! CI runs this under `IDLD_SNAPSHOT=0`, `IDLD_SNAPSHOT=1`, `IDLD_FF=1`
-//! and `IDLD_FF=1 IDLD_FF_GUARD=2048`, and diffs all three files
-//! byte-for-byte: snapshot-and-fork execution and the emulator hand-off
-//! must change wall-clock only, never a record or an aggregated metric.
-//! All the usual campaign environment knobs (`IDLD_RUNS_PER_CELL`,
+//! CI runs this once as the cold oracle (`IDLD_SNAPSHOT_MAX=0`: every run
+//! from power-on) and once with the defaults (lean snapshots, emulator
+//! hand-off), and diffs all three files byte-for-byte: forking must
+//! change wall-clock only, never a record or an aggregated metric. All
+//! the usual campaign environment knobs (`IDLD_RUNS_PER_CELL`,
 //! `IDLD_SEED`, `IDLD_CAMPAIGN_THREADS`, `IDLD_SNAPSHOT_STRIDE`,
-//! `IDLD_SNAPSHOT_MAX`, `IDLD_FF`, `IDLD_FF_GUARD`) apply.
+//! `IDLD_SNAPSHOT_MAX`, `IDLD_SMT`) apply.
 
 use idld_campaign::{export, metrics, Campaign, CampaignConfig, CampaignMetrics};
 
@@ -25,7 +25,6 @@ fn main() {
         .into_iter()
         .filter(|w| matches!(w.name.as_str(), "crc32" | "basicmath" | "bitcount"))
         .collect();
-    let snapshot = cfg.snapshot;
     let res = Campaign::new(cfg)
         .run(&suite)
         .unwrap_or_else(|e| panic!("campaign baseline invalid: {e}"));
@@ -44,12 +43,10 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
     let st = res.snapshot_stats;
     eprintln!(
-        "campaign_smoke: {} records -> {path} (snapshot={}, {} forked / {} cold / {} ff, {} snapshots)",
+        "campaign_smoke: {} records -> {path} ({} forked / {} cold, {} snapshots)",
         res.records.len(),
-        snapshot,
         st.forked_runs,
         st.cold_runs,
-        st.ff_runs,
         st.captured,
     );
 }

@@ -27,7 +27,7 @@
 //! coordinator picks up where the artifacts say it left off.
 //!
 //! Environment: all the usual campaign knobs (`IDLD_RUNS_PER_CELL`,
-//! `IDLD_SEED`, `IDLD_SWEEP`, `IDLD_SNAPSHOT`, …) plus:
+//! `IDLD_SEED`, `IDLD_SWEEP`, `IDLD_SNAPSHOT_MAX`, …) plus:
 //!
 //! - `IDLD_WORKLOADS` — comma-separated workload filter (default: full
 //!   suite), applied identically by every worker.
@@ -292,8 +292,9 @@ fn run_scaling(counts: &[usize], out: &Path) -> Vec<(ScalingPoint, MergedCampaig
     series
 }
 
-/// `--bench`: regenerate `BENCH_campaign.json` — snapshot off/on
-/// baselines (in-process), the sharded scaling series, and a scale-10
+/// `--bench`: regenerate `BENCH_campaign.json` — the cold oracle and the
+/// default forked campaign (in-process), the SMT axis, the sharded
+/// scaling series, the distributed loopback service, and a scale-10
 /// suite entry.
 fn run_bench(out: &Path) {
     let suite = selected_suite();
@@ -302,67 +303,35 @@ fn run_bench(out: &Path) {
         ..CampaignConfig::try_from_env().unwrap_or_else(|e| fail(&e))
     };
 
-    eprintln!("campaignd: snapshot-off baseline...");
+    eprintln!("campaignd: cold oracle (no snapshots)...");
     let cold = Campaign::new(CampaignConfig {
-        snapshot: false,
+        snapshot_max: 0,
         ..base.clone()
     })
     .run_with_progress(&suite, &StderrProgress::new())
     .unwrap_or_else(|e| fail(&format!("cold campaign invalid: {e}")));
 
-    eprintln!("campaignd: snapshot-on baseline...");
-    let snap = Campaign::new(CampaignConfig {
-        snapshot: true,
-        ..base.clone()
-    })
-    .run_with_progress(&suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("snapshot campaign invalid: {e}")));
-    if export::to_csv(&cold) != export::to_csv(&snap) {
-        fail("snapshot execution changed the record stream");
+    eprintln!("campaignd: default campaign...");
+    let default = Campaign::new(base.clone())
+        .run_with_progress(&suite, &StderrProgress::new())
+        .unwrap_or_else(|e| fail(&format!("default campaign invalid: {e}")));
+    if export::to_csv(&cold) != export::to_csv(&default) {
+        fail("forked execution changed the record stream");
     }
-    let speedup = cold.wall.as_secs_f64() / snap.wall.as_secs_f64();
-
-    eprintln!("campaignd: fast-forward baseline...");
-    let ff = Campaign::new(CampaignConfig {
-        snapshot: true,
-        ff: true,
-        ..base.clone()
-    })
-    .run_with_progress(&suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("fast-forward campaign invalid: {e}")));
-    if export::to_csv(&cold) != export::to_csv(&ff) {
-        fail("fast-forward execution changed the record stream");
-    }
-
-    // Ablation: the same fast-forward campaign with the emulator's block
-    // engine disabled (`IDLD_EMU_BLOCK=0` semantics) — the before/after
-    // contrast of the pre-decoded interpreter, byte-verified as usual.
-    eprintln!("campaignd: fast-forward, block engine off...");
-    let ff_noblock = Campaign::new(CampaignConfig {
-        snapshot: true,
-        ff: true,
-        emu_block: false,
-        ..base.clone()
-    })
-    .run_with_progress(&suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("block-off campaign invalid: {e}")));
-    if export::to_csv(&cold) != export::to_csv(&ff_noblock) {
-        fail("disabling the block engine changed the record stream");
-    }
+    let speedup = cold.wall.as_secs_f64() / default.wall.as_secs_f64();
 
     // The SMT axis: the paired-scenario section appended after the dense
     // single-thread job space (DESIGN §14). The single-thread prefix of
-    // the record stream must be byte-identical to the snapshot-on
-    // baseline — the axis may only append.
+    // the record stream must be byte-identical to the default campaign —
+    // the axis may only append.
     eprintln!("campaignd: SMT axis...");
     let smt = Campaign::new(CampaignConfig {
-        snapshot: true,
         smt: true,
         ..base.clone()
     })
     .run_with_progress(&suite, &StderrProgress::new())
     .unwrap_or_else(|e| fail(&format!("SMT campaign invalid: {e}")));
-    if !export::to_csv(&smt).starts_with(&export::to_csv(&snap)) {
+    if !export::to_csv(&smt).starts_with(&export::to_csv(&default)) {
         fail("the SMT axis perturbed the single-thread record prefix");
     }
     let smt_entry = BenchEntry::from_result("suite_smt", &smt);
@@ -427,75 +396,21 @@ fn run_bench(out: &Path) {
         },
         ..base
     };
-    let scale10 = Campaign::new(scale10_cfg.clone())
+    let scale10 = Campaign::new(scale10_cfg)
         .run_with_progress(&scale10_suite, &StderrProgress::new())
         .unwrap_or_else(|e| fail(&format!("scale-10 campaign invalid: {e}")));
     let mut scale10_entry = BenchEntry::from_result("suite_scale10", &scale10);
     scale10_entry.workload_scale = 10;
 
-    // Scale 10 is where fast-forwarding pays most: the golden prefix the
-    // emulator replaces grows 10×, the injected suffix does not.
-    eprintln!("campaignd: scale-10 suite, fast-forward...");
-    let scale10_ff = Campaign::new(CampaignConfig {
-        snapshot: true,
-        ff: true,
-        ..scale10_cfg.clone()
-    })
-    .run_with_progress(&scale10_suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("scale-10 fast-forward campaign invalid: {e}")));
-    if export::to_csv(&scale10) != export::to_csv(&scale10_ff) {
-        fail("fast-forward execution changed the scale-10 record stream");
-    }
-    let mut scale10_ff_entry = BenchEntry::from_result("suite_scale10_ff", &scale10_ff);
-    scale10_ff_entry.workload_scale = 10;
-
-    // Scale-10 block-off ablation: where the emulated prefix dominates,
-    // so the interpreter contrast shows up in campaign throughput.
-    eprintln!("campaignd: scale-10 suite, fast-forward, block engine off...");
-    let scale10_noblock = Campaign::new(CampaignConfig {
-        snapshot: true,
-        ff: true,
-        emu_block: false,
-        ..scale10_cfg
-    })
-    .run_with_progress(&scale10_suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("scale-10 block-off campaign invalid: {e}")));
-    if export::to_csv(&scale10) != export::to_csv(&scale10_noblock) {
-        fail("disabling the block engine changed the scale-10 record stream");
-    }
-    let mut scale10_noblock_entry =
-        BenchEntry::from_result("suite_scale10_emu_block", &scale10_noblock);
-    scale10_noblock_entry.workload_scale = 10;
-
-    // Raw interpreter microbench: the longest scale-10 run, block engine
-    // vs single-step, no simulator in the loop.
-    let longest = scale10_suite
-        .iter()
-        .max_by_key(|w| w.max_steps)
-        .expect("scale-10 suite is nonempty");
-    let emu = idld_bench::measure_emu_throughput(&longest.program, longest.max_steps);
-    eprintln!(
-        "campaignd: emu ({}, {} steps): block {:.1}M steps/s, single-step {:.1}M steps/s ({:.1}x)",
-        longest.name,
-        emu.steps,
-        emu.block_steps_per_sec() / 1e6,
-        emu.single_steps_per_sec() / 1e6,
-        emu.speedup()
-    );
-
     let entries = [
-        BenchEntry::from_result("suite_snapshot_off", &cold),
-        BenchEntry::from_result("suite_snapshot_on", &snap),
-        BenchEntry::from_result("suite_ff", &ff),
-        BenchEntry::from_result("suite_emu_block", &ff_noblock),
+        BenchEntry::from_result("suite_cold", &cold),
+        BenchEntry::from_result("suite_default", &default),
         smt_entry,
         sharded,
         dist_entry,
         scale10_entry,
-        scale10_ff_entry,
-        scale10_noblock_entry,
     ];
-    match idld_bench::write_campaign_bench_json(&entries, scaling, Some(speedup), Some(&emu)) {
+    match idld_bench::write_campaign_bench_json(&entries, scaling, Some(speedup)) {
         Ok(path) => eprintln!("campaignd: wrote {path}"),
         Err(e) => fail(&format!("could not write bench json: {e}")),
     }

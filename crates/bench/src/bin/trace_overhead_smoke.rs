@@ -3,10 +3,10 @@
 //! Every campaign run goes through the recorder-generic simulator with
 //! [`idld_obs::NullRecorder`], whose probes compile to nothing — so
 //! campaign throughput is the regression signal for the disabled path.
-//! This smoke runs the full-suite campaign at the same configuration
-//! `snapshot_speedup` used to write `BENCH_campaign.json` and fails if
+//! This smoke runs the full-suite campaign at the default configuration
+//! `campaignd --bench` used to write `BENCH_campaign.json` and fails if
 //! runs/sec dropped more than the tolerance below the recorded
-//! `suite_snapshot_on` baseline.
+//! `suite_default` baseline.
 //!
 //! * `IDLD_BENCH_JSON` — baseline file path (default `BENCH_campaign.json`).
 //!   A missing baseline skips the check (fresh clones, cross-machine CI).
@@ -44,9 +44,9 @@ fn main() {
         println!("trace_overhead_smoke: no baseline at {baseline_path}; skipping");
         return;
     };
-    let Some(reference) = baseline_runs_per_sec(&json, "suite_snapshot_on") else {
+    let Some(reference) = baseline_runs_per_sec(&json, "suite_default") else {
         println!(
-            "trace_overhead_smoke: {baseline_path} has no suite_snapshot_on runs_per_sec; skipping"
+            "trace_overhead_smoke: {baseline_path} has no suite_default runs_per_sec; skipping"
         );
         return;
     };

@@ -17,13 +17,13 @@
 //! | `ablation_extended_sites` | (ours) XOR-invariance coverage edges |
 //! | `checker_overhead` | (ours) simulation-speed cost of checkers |
 //! | `sched_speedup` | (ours) per-run scheduler vs per-workload threads |
-//! | `snapshot_speedup` | (ours) snapshot-and-fork vs cold campaign runs |
 //!
 //! Scale the campaigns with `IDLD_RUNS_PER_CELL` (paper scale: 1000),
 //! `IDLD_SEED`, and `IDLD_CAMPAIGN_THREADS` (scheduler workers; the
-//! record stream is identical for any value). `IDLD_SNAPSHOT=0` disables
-//! snapshot-and-fork execution (same records, slower); `snapshot_speedup`
-//! writes its measurements to `BENCH_campaign.json`.
+//! record stream is identical for any value). `IDLD_SNAPSHOT_MAX=0` runs
+//! every injection cold from power-on (same records, slower);
+//! `campaignd --bench` writes the campaign measurements to
+//! `BENCH_campaign.json`.
 
 use idld_campaign::{Campaign, CampaignConfig, CampaignResult, SnapshotStats, StderrProgress};
 
@@ -181,98 +181,6 @@ impl BenchEntry {
     }
 }
 
-/// Raw architectural-emulator throughput: one program executed to the
-/// same halt through the pre-decoded block engine and the single-step
-/// interpreter (`IDLD_EMU_BLOCK=0` semantics). The contrast is the
-/// microbench behind the `emu_steps_per_sec` object of
-/// `BENCH_campaign.json` — the campaign-level `suite_*` entries measure
-/// the same engines diluted by simulator work.
-#[derive(Clone, Copy, Debug)]
-pub struct EmuThroughput {
-    /// Architectural steps one run of the program retires (identical on
-    /// both engines; [`measure_emu_throughput`] asserts it).
-    pub steps: u64,
-    /// Steps accumulated over the repeated block-engine runs.
-    pub block_steps: u64,
-    /// Wall-clock those block-engine runs took.
-    pub block_wall_secs: f64,
-    /// Steps accumulated over the repeated single-step runs.
-    pub single_steps: u64,
-    /// Wall-clock those single-step runs took.
-    pub single_wall_secs: f64,
-}
-
-impl EmuThroughput {
-    /// Steps per second through the block engine (0 if unmeasured).
-    pub fn block_steps_per_sec(&self) -> f64 {
-        if self.block_wall_secs > 0.0 {
-            self.block_steps as f64 / self.block_wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Steps per second through the single-step interpreter.
-    pub fn single_steps_per_sec(&self) -> f64 {
-        if self.single_wall_secs > 0.0 {
-            self.single_steps as f64 / self.single_wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Block-engine speedup over single-step (0 if unmeasured).
-    pub fn speedup(&self) -> f64 {
-        let single = self.single_steps_per_sec();
-        if single > 0.0 {
-            self.block_steps_per_sec() / single
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Measures both emulator engines over `program` and returns the
-/// throughput contrast. The engines are first checked against each other
-/// on one run (a divergence is an interpreter bug, not a measurement),
-/// then each is re-run until it accumulates enough wall-clock for a
-/// stable steps/sec reading — a single run is around a millisecond,
-/// which is timer noise.
-pub fn measure_emu_throughput(program: &idld_isa::Program, max_steps: u64) -> EmuThroughput {
-    let mut block = idld_isa::Emulator::with_block_engine(program, true);
-    let block_res = block.run(max_steps);
-    let mut single = idld_isa::Emulator::single_step(program);
-    let single_res = single.run(max_steps);
-    assert_eq!(
-        (block_res.steps, &block_res.stop, &block_res.output),
-        (single_res.steps, &single_res.stop, &single_res.output),
-        "block and single-step engines diverged on the microbench program"
-    );
-
-    const MIN_WALL_SECS: f64 = 0.25;
-    let time_engine = |use_blocks: bool| {
-        let mut steps = 0u64;
-        let t0 = std::time::Instant::now();
-        loop {
-            let mut emu = idld_isa::Emulator::with_block_engine(program, use_blocks);
-            steps += emu.run(max_steps).steps;
-            let wall = t0.elapsed().as_secs_f64();
-            if wall >= MIN_WALL_SECS {
-                return (steps, wall);
-            }
-        }
-    };
-    let (block_steps, block_wall_secs) = time_engine(true);
-    let (single_steps, single_wall_secs) = time_engine(false);
-    EmuThroughput {
-        steps: block_res.steps,
-        block_steps,
-        block_wall_secs,
-        single_steps,
-        single_wall_secs,
-    }
-}
-
 /// One point of a shard-count scaling series: the same campaign executed
 /// across `shards` worker processes, with the merged artifacts verified
 /// byte-identical to the single-process run.
@@ -307,7 +215,7 @@ impl ScalingPoint {
 /// `{"skipped": "single-core host"}` marker.
 #[derive(Clone, Copy, Debug)]
 pub enum ShardScaling<'a> {
-    /// No series attempted (e.g. the in-process snapshot bench).
+    /// No series attempted.
     NotRun,
     /// Measured runs/s over process counts.
     Measured(&'a [ScalingPoint]),
@@ -320,16 +228,12 @@ pub enum ShardScaling<'a> {
 /// (with the host cores and shard count each entry ran under), snapshot
 /// hit rate, the per-workload wall-clock breakdown, and — when a sharded
 /// scaling series was measured — the runs/s curve over process counts
-/// (or the marker explaining why there is none). Each entry also carries
-/// the block-engine counters (`blocks_compiled`, `block_hits`,
-/// `chained_dispatches`, `steps_per_dispatch`); `emu` adds the raw
-/// block-vs-single-step `emu_steps_per_sec` microbench when measured.
+/// (or the marker explaining why there is none).
 /// Hand-rolled writer — the workspace deliberately has no JSON dependency.
 pub fn campaign_bench_json(
     entries: &[BenchEntry],
     scaling: ShardScaling<'_>,
     speedup: Option<f64>,
-    emu: Option<&EmuThroughput>,
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"host_cores\": {},\n", host_cores()));
@@ -356,25 +260,11 @@ pub fn campaign_bench_json(
         ));
         out.push_str(&format!("      \"forked_runs\": {},\n", st.forked_runs));
         out.push_str(&format!("      \"cold_runs\": {},\n", st.cold_runs));
-        out.push_str(&format!("      \"ff_runs\": {},\n", st.ff_runs));
         out.push_str(&format!(
             "      \"skipped_cycles\": {},\n",
             st.skipped_cycles
         ));
         out.push_str(&format!("      \"snapshots_captured\": {},\n", st.captured));
-        out.push_str(&format!(
-            "      \"blocks_compiled\": {},\n",
-            st.block.blocks_compiled
-        ));
-        out.push_str(&format!("      \"block_hits\": {},\n", st.block.block_hits));
-        out.push_str(&format!(
-            "      \"chained_dispatches\": {},\n",
-            st.block.chained_dispatches
-        ));
-        out.push_str(&format!(
-            "      \"steps_per_dispatch\": {:.3},\n",
-            st.block.steps_per_dispatch()
-        ));
         out.push_str("      \"workloads\": [\n");
         for (j, (name, secs)) in e.workloads.iter().enumerate() {
             out.push_str(&format!(
@@ -416,15 +306,6 @@ pub fn campaign_bench_json(
     if let Some(s) = speedup {
         out.push_str(&format!(",\n  \"snapshot_speedup\": {s:.3}"));
     }
-    if let Some(e) = emu {
-        out.push_str(&format!(
-            ",\n  \"emu_steps_per_sec\": {{\"steps\": {}, \"block\": {:.0}, \"single_step\": {:.0}, \"speedup\": {:.3}}}",
-            e.steps,
-            e.block_steps_per_sec(),
-            e.single_steps_per_sec(),
-            e.speedup()
-        ));
-    }
     out.push_str("\n}\n");
     out
 }
@@ -435,10 +316,9 @@ pub fn write_campaign_bench_json(
     entries: &[BenchEntry],
     scaling: ShardScaling<'_>,
     speedup: Option<f64>,
-    emu: Option<&EmuThroughput>,
 ) -> std::io::Result<String> {
     let path = std::env::var(BENCH_JSON_ENV).unwrap_or_else(|_| "BENCH_campaign.json".to_string());
-    std::fs::write(&path, campaign_bench_json(entries, scaling, speedup, emu))?;
+    std::fs::write(&path, campaign_bench_json(entries, scaling, speedup))?;
     Ok(path)
 }
 
@@ -539,18 +419,10 @@ mod tests {
                 merged_identical: true,
             },
         ];
-        let emu = super::EmuThroughput {
-            steps: 1000,
-            block_steps: 1000,
-            block_wall_secs: 0.5,
-            single_steps: 1000,
-            single_wall_secs: 2.0,
-        };
         let json = super::campaign_bench_json(
             &[entry],
             super::ShardScaling::Measured(&scaling),
             Some(2.5),
-            Some(&emu),
         );
         for needle in [
             "\"name\": \"smoke\"",
@@ -561,12 +433,8 @@ mod tests {
             "\"shards\": 1",
             "\"workload_scale\": 1",
             "\"snapshot_hit_rate\":",
-            "\"ff_runs\":",
-            "\"blocks_compiled\":",
-            "\"block_hits\":",
-            "\"chained_dispatches\":",
-            "\"steps_per_dispatch\":",
-            "\"emu_steps_per_sec\": {\"steps\": 1000, \"block\": 2000, \"single_step\": 500, \"speedup\": 4.000}",
+            "\"forked_runs\":",
+            "\"skipped_cycles\":",
             "\"shard_scaling\": [",
             "{\"shards\": 4, \"wall_secs\": 1.000000, \"runs_per_sec\": 6.000, \"merged_identical\": true}",
             "\"snapshot_speedup\": 2.500",
@@ -601,29 +469,14 @@ mod tests {
 
     #[test]
     fn skipped_scaling_series_is_a_marker_not_a_curve() {
-        let json = super::campaign_bench_json(
-            &[],
-            super::ShardScaling::Skipped("single-core host"),
-            None,
-            None,
-        );
+        let json =
+            super::campaign_bench_json(&[], super::ShardScaling::Skipped("single-core host"), None);
         assert!(
             json.contains("\"shard_scaling\": {\"skipped\": \"single-core host\"}"),
             "{json}"
         );
-        let none = super::campaign_bench_json(&[], super::ShardScaling::NotRun, None, None);
+        let none = super::campaign_bench_json(&[], super::ShardScaling::NotRun, None);
         assert!(!none.contains("shard_scaling"), "{none}");
-        assert!(!none.contains("emu_steps_per_sec"), "{none}");
-    }
-
-    #[test]
-    fn emu_throughput_contrasts_the_two_engines() {
-        // A real measurement over a suite workload: same steps, same
-        // output, and the block engine must actually dispatch blocks.
-        let w = &idld_workloads::suite()[0];
-        let m = super::measure_emu_throughput(&w.program, w.max_steps);
-        assert!(m.steps > 0);
-        assert!(m.block_steps_per_sec() > 0.0);
-        assert!(m.single_steps_per_sec() > 0.0);
+        assert!(!none.contains("snapshot_speedup"), "{none}");
     }
 }

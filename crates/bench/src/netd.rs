@@ -9,7 +9,7 @@
 //!   environment, so every assignment carries the *complete* campaign
 //!   description and remote workers never depend on matching env;
 //! - executing one assignment ([`run_campaign_job`]): spec → suite →
-//!   `Campaign::run` → encoded `idld-shard v3` artifact, with progress
+//!   `Campaign::run` → encoded `idld-shard v4` artifact, with progress
 //!   streamed back over the wire (throttled to one frame per interval);
 //! - merging the persisted `.part` files into outputs byte-identical to
 //!   a single-process run ([`merge_parts`]);
@@ -56,9 +56,6 @@ pub fn job_template_from_env(shards: usize) -> Result<JobSpec, String> {
         shards,
         runs_per_cell,
         seed: cfg.seed,
-        snapshot: cfg.snapshot,
-        ff: cfg.ff,
-        ff_guard: cfg.ff_guard,
         // try_from_env validated the sweep; the spec carries it raw.
         sweep: std::env::var(campaign::SWEEP_ENV).unwrap_or_default(),
         workloads: std::env::var(crate::WORKLOADS_ENV).unwrap_or_default(),
@@ -105,9 +102,6 @@ pub fn config_for(spec: &JobSpec) -> Result<CampaignConfig, String> {
     let mut cfg = CampaignConfig {
         runs_per_cell: spec.runs_per_cell,
         seed: spec.seed,
-        snapshot: spec.snapshot,
-        ff: spec.ff,
-        ff_guard: spec.ff_guard,
         shard: spec.shard,
         shards: spec.shards,
         ..CampaignConfig::default()
@@ -320,9 +314,6 @@ mod tests {
             shards: 2,
             runs_per_cell: 3,
             seed: 77,
-            snapshot: true,
-            ff: false,
-            ff_guard: 0,
             sweep: String::new(),
             workloads: "crc32".to_string(),
             scale: 1,

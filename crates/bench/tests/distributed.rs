@@ -271,7 +271,7 @@ fn local_sharded_resume_skips_clean_parts() {
     // Corrupt one part, keep the other: --resume must re-run exactly the
     // corrupted shard (the clean shard's worker would log a fresh
     // "shard 0" line if it ran again — instead only shard 1 appears).
-    std::fs::write(dir.join("shard-1.part"), "idld-shard v3\ntruncated").expect("corrupt");
+    std::fs::write(dir.join("shard-1.part"), "idld-shard v4\ntruncated").expect("corrupt");
     let mut cmd = campaign_cmd(CAMPAIGND);
     cmd.arg("--out")
         .arg(&dir)

@@ -13,17 +13,21 @@
 //!
 //! An injected run is bit-identical to the golden run until its bug
 //! activates, so simulating that prefix thousands of times is pure waste.
-//! With [`CampaignConfig::snapshot`] on (the default), the golden capture
-//! also snapshots full simulator + checker state at a stride of cycles
+//! The golden capture therefore also takes *lean* snapshots — simulator +
+//! checker state without the memory image — at a stride of cycles
 //! (bounded per workload by [`CampaignConfig::snapshot_max`] via
 //! deterministic stride-doubling thinning), each snapshot tagged with the
 //! control-signal census at its cycle. Every injection then forks from
-//! the latest snapshot that has not yet passed its target occurrence,
-//! re-arming the hook with the snapshot's census count. Jobs are
-//! *executed* in (workload, resume-cycle) order for cache locality, but
-//! records are written back by original index, so the record stream —
-//! and the exported CSV — is byte-identical with snapshots on or off
-//! (`IDLD_SNAPSHOT=0/1`), at any worker count.
+//! the latest snapshot that has not yet passed its target occurrence:
+//! the worker's in-order emulator replays the architectural prefix to
+//! rebuild memory, the bit-exactness gate
+//! ([`Simulator::restore_from_arch`]) admits the hand-off, and the hook
+//! is re-armed with the snapshot's census count. Jobs are *executed* in
+//! (workload, resume-cycle) order for cache locality, but records are
+//! written back by original index, so the record stream — and the
+//! exported CSV — is byte-identical to the cold oracle
+//! (`snapshot_max: 0`, `IDLD_SNAPSHOT_MAX=0`: every run from power-on),
+//! at any worker count.
 //!
 //! # Sweep and shard axes
 //!
@@ -67,7 +71,7 @@ use crate::progress::{CampaignProgress, NullProgress, ProgressState};
 use crate::sweep::{SweepPoint, SweepSpec, DEFAULT_LABEL};
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
 use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
-use idld_isa::{BlockStats, Emulator};
+use idld_isa::Emulator;
 use idld_rrs::CensusHook;
 use idld_sim::{CommitTrace, SimConfig, SimSnapshot, SimStats, Simulator};
 use idld_workloads::Workload;
@@ -88,33 +92,13 @@ pub const SEED_ENV: &str = "IDLD_SEED";
 /// Environment variable: scheduler worker threads (0 or unset = one per
 /// available core).
 pub const THREADS_ENV: &str = "IDLD_CAMPAIGN_THREADS";
-/// Environment variable: snapshot-and-fork execution, `1` (default) or
-/// `0`. The record stream is byte-identical either way; `0` exists for
-/// equivalence checking and perf comparison.
-pub const SNAPSHOT_ENV: &str = "IDLD_SNAPSHOT";
 /// Environment variable: golden-run snapshot capture stride in cycles
 /// (`0` or unset = automatic).
 pub const SNAPSHOT_STRIDE_ENV: &str = "IDLD_SNAPSHOT_STRIDE";
-/// Environment variable: maximum retained snapshots per workload.
+/// Environment variable: maximum retained snapshots per workload. `0`
+/// disables capture, so every run simulates from power-on — the cold
+/// oracle the forked record stream is byte-compared against.
 pub const SNAPSHOT_MAX_ENV: &str = "IDLD_SNAPSHOT_MAX";
-/// Environment variable: functional fast-forward, `0` (default) or `1`.
-/// With `1` the golden capture keeps *lean* snapshots (no memory image)
-/// and every fork reconstructs memory through the in-order emulator,
-/// passing the architectural bit-exactness gate at each hand-off. The
-/// record stream is byte-identical either way.
-pub const FF_ENV: &str = "IDLD_FF";
-/// Environment variable: fast-forward guard window in cycles (default 0).
-/// The hand-off snapshot must precede the fork point the hook's
-/// [`earliest_trigger`](idld_rrs::FaultHook::earliest_trigger) reports by
-/// at least this many cycle-accurate cycles.
-pub const FF_GUARD_ENV: &str = "IDLD_FF_GUARD";
-/// Environment variable: basic-block-cached emulator interpreter, `0` or
-/// `1` (default). With `1` the fast-forward emulator dispatches whole
-/// pre-decoded basic blocks ([`idld_isa::block`]); with `0` it
-/// single-steps. Bit-identical records, obs digests and architectural
-/// state either way — only throughput (and the `blocks_compiled`/
-/// `block_hits`/`chained_dispatches` counters) differ.
-pub const EMU_BLOCK_ENV: &str = "IDLD_EMU_BLOCK";
 /// Environment variable: this process's shard index, `0..IDLD_SHARDS`.
 pub const SHARD_ENV: &str = "IDLD_SHARD";
 /// Environment variable: total shard count (default 1 = unsharded).
@@ -150,38 +134,12 @@ pub struct CampaignConfig {
     /// Scheduler worker threads; `0` means one per available core. The
     /// record stream is identical for every value (see module docs).
     pub threads: usize,
-    /// Snapshot-and-fork execution (see module docs). On by default; the
-    /// record stream is byte-identical with it off, just slower.
-    pub snapshot: bool,
     /// Golden-run snapshot stride in cycles; `0` picks automatically.
     pub snapshot_stride: u64,
-    /// Maximum snapshots retained per workload (`0` disables capture).
-    /// Bounds campaign memory: each snapshot holds a full copy of the
-    /// workload's data memory (unless [`ff`](Self::ff) strips it).
+    /// Maximum lean snapshots retained per workload. `0` disables capture:
+    /// every run simulates from power-on, the cold oracle whose record
+    /// stream forked campaigns must reproduce byte for byte.
     pub snapshot_max: usize,
-    /// Functional fast-forward (off by default): golden captures keep
-    /// *lean* snapshots — no memory image — and every forked run
-    /// reconstructs memory by advancing the in-order emulator to the
-    /// hand-off's committed instruction count. The emulator's registers,
-    /// output and pc are cross-checked against the snapshot's committed
-    /// view before any state is seeded
-    /// ([`SimSnapshot::verify_arch`](idld_sim::SimSnapshot)); a
-    /// disagreement poisons the run loudly instead of silently corrupting
-    /// the campaign. The record stream is byte-identical with this on or
-    /// off. Requires [`snapshot`](Self::snapshot).
-    pub ff: bool,
-    /// Fast-forward guard window W in cycles: the hand-off snapshot must
-    /// precede the latest eligible fork point by at least W cycles, so the
-    /// final approach to the trigger always runs cycle-accurate. `0` (the
-    /// default) hands off at the latest eligible snapshot — the
-    /// bit-exactness gate alone carries the equivalence proof.
-    pub ff_guard: u64,
-    /// Dispatch the fast-forward emulator through the pre-decoded
-    /// basic-block engine (`true`, the default) or the single-step
-    /// interpreter (`false`). Proven bit-identical by the fuzz
-    /// block-equivalence sweep and the CI records cmp; the switch exists
-    /// for that proof and for before/after benchmarking.
-    pub emu_block: bool,
     /// This process's shard index (`0..shards`): it executes only the
     /// jobs hash-partitioned onto it (see the module docs).
     pub shard: usize,
@@ -208,12 +166,8 @@ impl Default for CampaignConfig {
             runs_per_cell: 30,
             seed: 0x1d1d,
             threads: 0,
-            snapshot: true,
             snapshot_stride: 0,
             snapshot_max: 64,
-            ff: false,
-            ff_guard: 0,
-            emu_block: true,
             shard: 0,
             shards: 1,
             smt: false,
@@ -268,32 +222,14 @@ impl CampaignConfig {
                 Err(e) => Err(format!("{name} is unreadable: {e}")),
             }
         }
-        if let Some(on) = parse_flag(SNAPSHOT_ENV)? {
-            cfg.snapshot = on;
-        }
         if let Some(s) = parse(SNAPSHOT_STRIDE_ENV)? {
             cfg.snapshot_stride = s;
         }
         if let Some(m) = parse(SNAPSHOT_MAX_ENV)? {
             cfg.snapshot_max = m;
         }
-        if let Some(on) = parse_flag(FF_ENV)? {
-            cfg.ff = on;
-        }
-        if let Some(w) = parse(FF_GUARD_ENV)? {
-            cfg.ff_guard = w;
-        }
-        if let Some(on) = parse_flag(EMU_BLOCK_ENV)? {
-            cfg.emu_block = on;
-        }
         if let Some(on) = parse_flag(SMT_ENV)? {
             cfg.smt = on;
-        }
-        if cfg.ff && !cfg.snapshot {
-            return Err(format!(
-                "{FF_ENV}=1 needs snapshots: fast-forward hands off at golden \
-                 snapshots, which {SNAPSHOT_ENV}=0 disables"
-            ));
         }
         if let Some(n) = parse::<usize>(SHARDS_ENV)? {
             if n == 0 {
@@ -446,8 +382,7 @@ impl GoldenRun {
     /// no memory image, skipping the dominant cost of a full capture.
     /// Lean snapshots are restored through
     /// [`Simulator::restore_from_arch`] with emulator-reconstructed
-    /// memory; this is the capture side of functional fast-forward
-    /// ([`CampaignConfig::ff`]).
+    /// memory; this is the capture every campaign forks from.
     pub fn capture_with_lean_snapshots(
         workload: &Workload,
         sim_cfg: SimConfig,
@@ -540,26 +475,6 @@ impl GoldenRun {
             .iter()
             .rev()
             .find(|s| s.counts[site] <= spec.occurrence)
-    }
-
-    /// [`GoldenRun::snapshot_for`] under a fast-forward guard window: the
-    /// latest legal snapshot that additionally precedes the latest legal
-    /// fork point by at least `guard` cycles, so at least that much of the
-    /// approach to the trigger runs cycle-accurate. `guard == 0` is
-    /// exactly [`GoldenRun::snapshot_for`].
-    pub fn snapshot_for_guarded(&self, spec: &BugSpec, guard: u64) -> Option<&GoldenSnapshot> {
-        let site = spec.site.index();
-        let latest = self
-            .snapshots
-            .iter()
-            .rev()
-            .find(|s| s.counts[site] <= spec.occurrence)?;
-        if guard == 0 {
-            return Some(latest);
-        }
-        self.snapshots.iter().rev().find(|s| {
-            s.counts[site] <= spec.occurrence && s.cycle.saturating_add(guard) <= latest.cycle
-        })
     }
 
     /// The injected-run cycle budget: 2.5× the golden cycles (paper's
@@ -840,16 +755,6 @@ pub struct SnapshotStats {
     pub skipped_cycles: u64,
     /// Snapshots retained across all workloads.
     pub captured: usize,
-    /// Forked runs that went through the fast-forward hand-off: memory
-    /// reconstructed by the in-order emulator, architectural gate passed.
-    /// Always `<= forked_runs`; `0` unless [`CampaignConfig::ff`].
-    pub ff_runs: usize,
-    /// Block-engine dispatch counters summed over every fast-forward
-    /// emulator the campaign ran. All zero with
-    /// [`CampaignConfig::emu_block`] off (or without `ff`). Like wall
-    /// clock these depend on worker-cache reuse, i.e. on scheduling — they
-    /// are reporting, not part of the deterministic record stream.
-    pub block: BlockStats,
 }
 
 impl SnapshotStats {
@@ -875,8 +780,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Per-worker engine cache: the simulator and fast-forward emulator of
-/// the golden cell the worker is currently streaming through. A restore
+/// Per-worker engine cache: the simulator and hand-off emulator of the
+/// golden cell the worker is currently streaming through. A restore
 /// fully overwrites simulator state, so reuse is invisible to the record
 /// stream — the cache only drops the per-run construction cost (a fresh
 /// memory image plus allocations) and lets the emulator advance
@@ -887,9 +792,6 @@ struct WorkerCache<'p> {
     cell: Option<usize>,
     sim: Option<Simulator<'p>>,
     emu: Option<Emulator>,
-    /// The cached emulator's cumulative block counters already credited to
-    /// earlier runs, so each run harvests only its own delta.
-    emu_harvested: BlockStats,
 }
 
 impl<'p> WorkerCache<'p> {
@@ -898,7 +800,6 @@ impl<'p> WorkerCache<'p> {
             cell: None,
             sim: None,
             emu: None,
-            emu_harvested: BlockStats::default(),
         }
     }
 
@@ -914,7 +815,6 @@ impl<'p> WorkerCache<'p> {
         self.cell = None;
         self.sim = None;
         self.emu = None;
-        self.emu_harvested = BlockStats::default();
     }
 }
 
@@ -985,31 +885,8 @@ impl Campaign {
         .0
     }
 
-    /// The snapshot an injection of `spec` would fork from under the
-    /// campaign's snapshot policy (`None` = power-on).
-    fn fork_snapshot<'g>(
-        &self,
-        golden: &'g GoldenRun,
-        spec: &BugSpec,
-    ) -> Option<&'g GoldenSnapshot> {
-        if !self.cfg.snapshot {
-            return None;
-        }
-        if self.cfg.ff {
-            golden.snapshot_for_guarded(spec, self.cfg.ff_guard)
-        } else {
-            golden.snapshot_for(spec)
-        }
-    }
-
-    /// The cycle the injection of `spec` would resume from under the
-    /// current snapshot policy (`0` = power-on).
-    fn trigger_bound(&self, golden: &GoldenRun, spec: &BugSpec) -> u64 {
-        self.fork_snapshot(golden, spec).map_or(0, |s| s.cycle)
-    }
-
     /// Runs one injection, forking from the latest eligible golden
-    /// snapshot when the policy allows. Returns the record plus the
+    /// snapshot when there is one. Returns the record plus the
     /// golden-prefix cycles skipped (`0` = simulated from power-on).
     ///
     /// Fork equivalence: up to the bug's activation an injected run is
@@ -1027,8 +904,8 @@ impl Campaign {
         spec: BugSpec,
         interrupt: Option<&AtomicBool>,
         cache: &mut WorkerCache<'p>,
-    ) -> (RunRecord, u64, bool, BlockStats) {
-        let snap = self.fork_snapshot(golden, &spec);
+    ) -> (RunRecord, u64) {
+        let snap = golden.snapshot_for(&spec);
         // Forked runs fully overwrite simulator state on restore, so the
         // worker's cached simulator (same program, same config) is reused;
         // power-on runs need a pristine machine and replace it.
@@ -1038,49 +915,33 @@ impl Campaign {
         let sim = cache.sim.as_mut().expect("cache was just filled");
         let mut checkers;
         let mut hook;
-        let mut ff_run = false;
-        let mut block_stats = BlockStats::default();
         let skipped = match snap {
             Some(s) => {
+                // The in-order emulator replays the architectural prefix
+                // (incrementally — jobs stream through a cell in ascending
+                // hand-off order) and the gate cross-checks it against the
+                // snapshot's committed view before seeding anything.
                 checkers = CheckerSet::new();
-                if self.cfg.ff {
-                    // Functional fast-forward: the in-order emulator
-                    // replays the architectural prefix (incrementally —
-                    // jobs stream through a cell in ascending hand-off
-                    // order) and the gate cross-checks it against the
-                    // snapshot's committed view before seeding anything.
-                    let target = s.state.committed();
-                    let block = self.cfg.emu_block;
-                    let emu = cache.emu.get_or_insert_with(|| {
-                        Emulator::with_block_engine(&golden.workload.program, block)
-                    });
-                    if emu.steps() > target {
-                        *emu = Emulator::with_block_engine(&golden.workload.program, block);
-                        cache.emu_harvested = BlockStats::default();
-                    }
-                    if let Err(stop) = emu.run_to_step(target) {
-                        panic!(
-                            "fast-forward emulator stopped at step {} of {target} \
-                             ({}): {stop:?}",
-                            emu.steps(),
-                            golden.workload.name,
-                        );
-                    }
-                    if let Err(d) = sim.restore_from_arch(&s.state, emu, &mut checkers) {
-                        panic!(
-                            "fast-forward bit-exactness gate: {d} ({} @ cycle {})",
-                            golden.workload.name, s.cycle,
-                        );
-                    }
-                    // Credit this run with the dispatch work its replay
-                    // added (compilation counts toward the first run that
-                    // touches a freshly built engine).
-                    let cumulative = emu.block_stats();
-                    block_stats = cumulative.since(&cache.emu_harvested);
-                    cache.emu_harvested = cumulative;
-                    ff_run = true;
-                } else {
-                    sim.restore(&s.state, &mut checkers);
+                let target = s.state.committed();
+                let emu = cache
+                    .emu
+                    .get_or_insert_with(|| Emulator::new(&golden.workload.program));
+                if emu.steps() > target {
+                    *emu = Emulator::new(&golden.workload.program);
+                }
+                if let Err(stop) = emu.run_to_step(target) {
+                    panic!(
+                        "fast-forward emulator stopped at step {} of {target} \
+                         ({}): {stop:?}",
+                        emu.steps(),
+                        golden.workload.name,
+                    );
+                }
+                if let Err(d) = sim.restore_from_arch(&s.state, emu, &mut checkers) {
+                    panic!(
+                        "fast-forward bit-exactness gate: {d} ({} @ cycle {})",
+                        golden.workload.name, s.cycle,
+                    );
                 }
                 hook = SingleShotHook::resumed(spec, s.counts[spec.site.index()], s.cycle);
                 s.cycle
@@ -1119,13 +980,12 @@ impl Campaign {
             stats: res.stats,
             poisoned: None,
         };
-        (record, skipped, ff_run, block_stats)
+        (record, skipped)
     }
 
     /// Executes the job with global index `job` under panic isolation.
-    /// Returns the record, the golden-prefix cycles the run skipped via
-    /// snapshot forking, and whether it went through the fast-forward
-    /// hand-off.
+    /// Returns the record and the golden-prefix cycles the run skipped via
+    /// snapshot forking.
     #[allow(clippy::too_many_arguments)]
     fn execute_job<'p>(
         &self,
@@ -1136,7 +996,7 @@ impl Campaign {
         spec: BugSpec,
         interrupt: Option<&AtomicBool>,
         cache: &mut WorkerCache<'p>,
-    ) -> (RunRecord, u64, bool, BlockStats) {
+    ) -> (RunRecord, u64) {
         let sabotage = self.cfg.sabotage_job == Some(job);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if sabotage {
@@ -1159,8 +1019,6 @@ impl Campaign {
                         panic_message(&*payload),
                     ),
                     0,
-                    false,
-                    BlockStats::default(),
                 )
             }
         }
@@ -1242,14 +1100,9 @@ impl Campaign {
         }
 
         // Golden runs: once per needed (point × workload) cell, in
-        // parallel, shared read-only with every worker afterwards. With
-        // snapshots enabled the capture also materializes the bounded
-        // per-cell snapshot cache that injected runs fork from.
-        let snap_max = if self.cfg.snapshot {
-            self.cfg.snapshot_max
-        } else {
-            0
-        };
+        // parallel, shared read-only with every worker afterwards. The
+        // capture also materializes the bounded per-cell lean snapshot
+        // cache that injected runs fork from.
         let sweeping = points.len() > 1 || points[0].label != DEFAULT_LABEL;
         let captured: Vec<Option<Result<GoldenRun, GoldenRunError>>> =
             std::thread::scope(|scope| {
@@ -1262,21 +1115,12 @@ impl Campaign {
                             let point = &points[ci / nw];
                             let w = &workloads[ci % nw];
                             scope.spawn(move || {
-                                if self.cfg.ff {
-                                    GoldenRun::capture_with_lean_snapshots(
-                                        w,
-                                        point.sim,
-                                        self.cfg.snapshot_stride,
-                                        snap_max,
-                                    )
-                                } else {
-                                    GoldenRun::capture_with_snapshots(
-                                        w,
-                                        point.sim,
-                                        self.cfg.snapshot_stride,
-                                        snap_max,
-                                    )
-                                }
+                                GoldenRun::capture_with_lean_snapshots(
+                                    w,
+                                    point.sim,
+                                    self.cfg.snapshot_stride,
+                                    self.cfg.snapshot_max,
+                                )
                             })
                         })
                     })
@@ -1350,22 +1194,20 @@ impl Campaign {
         // a pure permutation of *execution* order — records are written
         // back by original job index, so the record stream is untouched.
         let mut order: Vec<usize> = (0..total).collect();
-        if self.cfg.snapshot {
-            order.sort_by_key(|&i| {
-                let job = &jobs[i];
-                let golden = goldens[job.cell]
-                    .as_ref()
-                    .expect("sampled jobs have goldens");
-                (job.cell, self.trigger_bound(golden, &job.spec))
-            });
-        }
+        order.sort_by_key(|&i| {
+            let job = &jobs[i];
+            let golden = goldens[job.cell]
+                .as_ref()
+                .expect("sampled jobs have goldens");
+            let resume = golden.snapshot_for(&job.spec).map_or(0, |s| s.cycle);
+            (job.cell, resume)
+        });
 
         let state = ProgressState::new(total);
         let next = AtomicUsize::new(0);
         // Per-job result slot: record, work time, golden-prefix cycles
-        // skipped, whether the fork used the emulator hand-off, and the
-        // hand-off's block-engine dispatch counters.
-        type RunSlot = (RunRecord, Duration, u64, bool, BlockStats);
+        // skipped.
+        type RunSlot = (RunRecord, Duration, u64);
         let slots: Mutex<Vec<Option<RunSlot>>> = Mutex::new((0..total).map(|_| None).collect());
         let _silencer = PanicSilencer::install();
 
@@ -1398,7 +1240,7 @@ impl Campaign {
                             .expect("sampled jobs have goldens");
                         cache.enter(job.cell);
                         let started = Instant::now();
-                        let (rec, skipped, ff_run, block) = self.execute_job(
+                        let (rec, skipped) = self.execute_job(
                             point.sim,
                             &point.label,
                             job.job,
@@ -1410,7 +1252,7 @@ impl Campaign {
                         let elapsed = started.elapsed();
                         state.complete(rec.outcome, rec.poisoned.is_some());
                         slots.lock().unwrap_or_else(|e| e.into_inner())[i] =
-                            Some((rec, elapsed, skipped, ff_run, block));
+                            Some((rec, elapsed, skipped));
                         progress.on_run(&state.snapshot());
                     }
                     SUPPRESS_PANIC_OUTPUT.set(false);
@@ -1428,15 +1270,13 @@ impl Campaign {
             captured: goldens.iter().flatten().map(|g| g.snapshots.len()).sum(),
             ..SnapshotStats::default()
         };
-        for (rec, elapsed, skipped, ff_run, block) in slots.into_iter().flatten() {
+        for (rec, elapsed, skipped) in slots.into_iter().flatten() {
             if skipped > 0 {
                 snapshot_stats.forked_runs += 1;
             } else {
                 snapshot_stats.cold_runs += 1;
             }
             snapshot_stats.skipped_cycles += skipped;
-            snapshot_stats.ff_runs += usize::from(ff_run);
-            snapshot_stats.block.add(&block);
             let cell = match timings
                 .iter_mut()
                 .find(|c| c.config == rec.config && c.bench == rec.bench && c.model == rec.model)
@@ -1638,11 +1478,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_cold_campaigns_are_byte_identical() {
-        // The tentpole guarantee: snapshot-and-fork execution changes only
-        // wall-clock, never the record stream — at any worker count.
+    fn default_and_cold_campaigns_are_byte_identical() {
+        // The fork guarantee: lean snapshots, emulator-rebuilt memory and
+        // the arch gate at every hand-off change only wall-clock, never a
+        // byte of the record stream — at any worker count. The cold
+        // oracle (`snapshot_max: 0`) simulates every run from power-on.
         let cold = Campaign::new(CampaignConfig {
-            snapshot: false,
+            snapshot_max: 0,
             threads: 1,
             ..mini_cfg()
         })
@@ -1652,17 +1494,17 @@ mod tests {
         assert_eq!(cold.snapshot_stats.captured, 0);
         for threads in [1, 8] {
             let forked = Campaign::new(CampaignConfig {
-                snapshot: true,
                 threads,
                 ..mini_cfg()
             })
             .run(&picks())
-            .expect("snapshot run");
+            .expect("default run");
             assert_eq!(
                 crate::export::to_csv(&cold),
                 crate::export::to_csv(&forked),
-                "snapshot CSV must be byte-identical to cold CSV ({threads} threads)"
+                "default CSV must be byte-identical to cold CSV ({threads} threads)"
             );
+            assert_eq!(forked.poisoned().count(), 0, "no gate failures");
             assert!(
                 forked.snapshot_stats.forked_runs > 0,
                 "snapshots must actually be used ({threads} threads): {:?}",
@@ -1671,108 +1513,6 @@ mod tests {
             assert!(forked.snapshot_stats.captured > 0);
             assert!(forked.snapshot_stats.skipped_cycles > 0);
         }
-    }
-
-    #[test]
-    fn ff_and_cold_campaigns_are_byte_identical() {
-        // The tentpole guarantee: functional fast-forward — lean
-        // snapshots, emulator-reconstructed memory, arch gate at every
-        // hand-off — changes only wall-clock, never a byte of the record
-        // stream. Checked against the snapshot-less baseline at several
-        // guard windows and worker counts.
-        let cold = Campaign::new(CampaignConfig {
-            snapshot: false,
-            threads: 1,
-            ..mini_cfg()
-        })
-        .run(&picks())
-        .expect("cold run");
-        for (threads, guard) in [(1, 0), (8, 0), (1, 256), (8, 4096)] {
-            let ff = Campaign::new(CampaignConfig {
-                ff: true,
-                ff_guard: guard,
-                threads,
-                ..mini_cfg()
-            })
-            .run(&picks())
-            .expect("ff run");
-            assert_eq!(
-                crate::export::to_csv(&cold),
-                crate::export::to_csv(&ff),
-                "ff CSV must be byte-identical to cold CSV \
-                 ({threads} threads, guard {guard})"
-            );
-            assert_eq!(ff.poisoned().count(), 0, "no gate failures");
-            assert!(
-                ff.snapshot_stats.ff_runs > 0,
-                "fast-forward must actually engage (guard {guard}): {:?}",
-                ff.snapshot_stats
-            );
-            assert_eq!(
-                ff.snapshot_stats.ff_runs, ff.snapshot_stats.forked_runs,
-                "every forked run goes through the hand-off in ff mode"
-            );
-            assert!(
-                ff.snapshot_stats.block.dispatches() > 0,
-                "the hand-off dispatches through the block engine by \
-                 default: {:?}",
-                ff.snapshot_stats.block
-            );
-        }
-        // The block engine is a pure interpreter swap: the single-step
-        // hand-off produces the same bytes and reports no block activity.
-        let single = Campaign::new(CampaignConfig {
-            ff: true,
-            emu_block: false,
-            threads: 1,
-            ..mini_cfg()
-        })
-        .run(&picks())
-        .expect("single-step ff run");
-        assert_eq!(
-            crate::export::to_csv(&cold),
-            crate::export::to_csv(&single),
-            "single-step ff CSV must be byte-identical to cold CSV"
-        );
-        assert_eq!(
-            single.snapshot_stats.block,
-            idld_isa::BlockStats::default(),
-            "no block counters with the engine off"
-        );
-    }
-
-    #[test]
-    fn ff_guard_steps_the_handoff_back() {
-        // A guard wider than a snapshot stride must move the hand-off to
-        // an older snapshot (or power-on) without changing any record.
-        let w = idld_workloads::by_name("crc32").expect("exists");
-        let g = GoldenRun::capture_with_snapshots(&w, SimConfig::default(), 0, 16)
-            .expect("golden halts");
-        let site = idld_rrs::OpSite::FlPop;
-        let total = g.census.count(site);
-        let spec = BugSpec {
-            site,
-            occurrence: total - 1,
-            corruption: idld_rrs::Corruption::NONE,
-            model: BugModel::Duplication,
-        };
-        let unguarded = g.snapshot_for_guarded(&spec, 0).expect("late trigger");
-        assert_eq!(
-            unguarded.cycle,
-            g.snapshot_for(&spec).expect("same").cycle,
-            "guard 0 is exactly snapshot_for"
-        );
-        let guarded = g.snapshot_for_guarded(&spec, 1);
-        if let Some(s) = guarded {
-            assert!(
-                s.cycle < unguarded.cycle,
-                "guarded hand-off must precede the fork point"
-            );
-        }
-        assert!(
-            g.snapshot_for_guarded(&spec, u64::MAX).is_none(),
-            "an unsatisfiable guard falls back to power-on"
-        );
     }
 
     #[test]
@@ -1957,12 +1697,12 @@ mod tests {
         assert!(run(THREADS_ENV, "many").is_err());
         let ok = run(RUNS_PER_CELL_ENV, " 1000 ").expect("trimmed digits parse");
         assert_eq!(ok.runs_per_cell, 1000);
-        assert!(
-            run(SNAPSHOT_ENV, "yes").is_err(),
-            "snapshot flag accepts only 0/1"
+        assert_eq!(
+            run(SNAPSHOT_MAX_ENV, " 0 ")
+                .expect("the cold oracle parses")
+                .snapshot_max,
+            0
         );
-        assert!(!run(SNAPSHOT_ENV, "0").expect("0 parses").snapshot);
-        assert!(run(SNAPSHOT_ENV, " 1 ").expect("1 parses").snapshot);
         assert_eq!(
             run(SNAPSHOT_STRIDE_ENV, "4096")
                 .expect("stride parses")
@@ -2000,34 +1740,6 @@ mod tests {
         assert!(run(SWEEP_ENV, "").is_err(), "an empty sweep is a typo");
         let swept = run(SWEEP_ENV, "grid").expect("preset parses");
         assert_eq!(swept.sweep.points.len(), 3);
-        assert!(run(FF_ENV, "yes").is_err(), "ff flag accepts only 0/1");
-        assert!(run(FF_ENV, "true").is_err());
-        assert!(!run(FF_ENV, "0").expect("0 parses").ff);
-        assert!(run(FF_ENV, " 1 ").expect("1 parses").ff);
-        std::env::set_var(SNAPSHOT_ENV, "0");
-        assert!(
-            run(FF_ENV, "1").is_err(),
-            "fast-forward without snapshots has nothing to hand off to"
-        );
-        std::env::remove_var(SNAPSHOT_ENV);
-        assert!(run(FF_GUARD_ENV, "wide").is_err());
-        assert!(run(FF_GUARD_ENV, "-1").is_err());
-        assert_eq!(
-            run(FF_GUARD_ENV, " 4096 ").expect("guard parses").ff_guard,
-            4096
-        );
-        assert!(
-            run(EMU_BLOCK_ENV, "on").is_err(),
-            "block flag accepts only 0/1"
-        );
-        assert!(run(EMU_BLOCK_ENV, "true").is_err());
-        assert!(run(EMU_BLOCK_ENV, "").is_err(), "set-but-empty is a typo");
-        assert!(!run(EMU_BLOCK_ENV, "0").expect("0 parses").emu_block);
-        assert!(run(EMU_BLOCK_ENV, " 1 ").expect("1 parses").emu_block);
-        assert!(
-            CampaignConfig::default().emu_block,
-            "the block engine is the default interpreter"
-        );
     }
 
     #[test]

@@ -343,4 +343,108 @@ mod tests {
         assert_eq!(wrong.missing(), vec![0, 1, 2, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Seeded random schedules of claims, heartbeats, stale-timeout
+    /// reclaims, releases, completions (duplicates included) and
+    /// coordinator restarts resumed from the persisted parts, over 1 to 8
+    /// shards. Against a model that only knows which shards were
+    /// accepted, the ledger must accept each shard exactly once, reject
+    /// every later twin, never lose or hand out a finished shard, and
+    /// report `all_done()` exactly when every shard has completed.
+    #[test]
+    fn random_schedules_accept_each_shard_exactly_once() {
+        use crate::campaign::CampaignResult;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let dir = std::env::temp_dir().join(format!("idld-ledger-prop-{}", std::process::id()));
+        let part =
+            |shard: usize, shards: usize| encode_shard(&CampaignResult::default(), shard, shards);
+        for seed in 0..64u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let shards = rng.gen_range(1..9usize);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            let mut l = ShardLedger::new(shards);
+            let mut accepted = vec![0usize; shards];
+            let mut claimed: Vec<usize> = Vec::new();
+            let mut now = Instant::now();
+            let ctx = |step: usize| format!("seed {seed}, {shards} shards, step {step}");
+
+            for step in 0..200 {
+                let worker = rng.gen_range(1..5u64);
+                match rng.gen_range(0..16u32) {
+                    0..=4 => match l.claim(worker, now, STALE) {
+                        Claim::Assign(s) => {
+                            assert!(!l.is_done(s), "{}: assigned done shard {s}", ctx(step));
+                            claimed.push(s);
+                        }
+                        Claim::Wait => assert!(!l.all_done(), "{}", ctx(step)),
+                        Claim::Finished => assert!(l.all_done(), "{}", ctx(step)),
+                    },
+                    5 | 6 => l.beat(worker, now),
+                    7 | 8 => now += STALE + Duration::from_millis(1),
+                    9 => {
+                        for s in l.release(worker) {
+                            assert!(!l.is_done(s), "{}: released done shard", ctx(step));
+                        }
+                    }
+                    10..=14 => {
+                        let s = if !claimed.is_empty() && rng.gen_bool(0.75) {
+                            claimed[rng.gen_range(0..claimed.len())]
+                        } else {
+                            rng.gen_range(0..shards)
+                        };
+                        let got = l.complete(s, 1);
+                        if accepted[s] == 0 {
+                            assert_eq!(got, Completion::Accepted, "{}", ctx(step));
+                            accepted[s] += 1;
+                            std::fs::write(part_path(&dir, s), part(s, shards)).expect("persist");
+                        } else {
+                            assert_eq!(got, Completion::Duplicate, "{}", ctx(step));
+                        }
+                    }
+                    _ => {
+                        // Coordinator restart. Plant an untrustworthy part
+                        // for one unfinished shard: it must stay pending.
+                        if let Some(s) = (0..shards).find(|&s| accepted[s] == 0) {
+                            let bad = if rng.gen_bool(0.5) {
+                                part(s, shards + 1)
+                            } else {
+                                part(s, shards)[..20].to_string()
+                            };
+                            std::fs::write(part_path(&dir, s), bad).expect("plant");
+                        }
+                        l = ShardLedger::new(shards);
+                        claimed.clear();
+                        let persisted = accepted.iter().filter(|&&a| a > 0).count();
+                        assert_eq!(l.resume_from_dir(&dir), persisted, "{}", ctx(step));
+                    }
+                }
+                for (s, &a) in accepted.iter().enumerate() {
+                    assert_eq!(l.is_done(s), a == 1, "{}: shard {s}", ctx(step));
+                }
+                let complete = accepted.iter().all(|&a| a == 1);
+                assert_eq!(l.all_done(), complete, "{}", ctx(step));
+            }
+
+            // Drain: a worker that outlives every stale claim must be able
+            // to finish the campaign — no unfinished shard is ever lost.
+            for _ in 0..=shards {
+                now += STALE + Duration::from_millis(1);
+                match l.claim(99, now, STALE) {
+                    Claim::Assign(s) => {
+                        assert_eq!(l.complete(s, 1), Completion::Accepted, "seed {seed}");
+                        accepted[s] += 1;
+                    }
+                    Claim::Finished => break,
+                    Claim::Wait => panic!("seed {seed}: an unfinished shard was lost"),
+                }
+            }
+            assert!(l.all_done(), "seed {seed}");
+            assert_eq!(accepted, vec![1; shards], "seed {seed}: exactly once");
+            assert_eq!(l.claim(99, now, STALE), Claim::Finished);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -36,7 +36,7 @@ use std::time::Duration;
 /// because the `idld-net` HELLO handshake carries it: a coordinator and a
 /// worker built against different shard formats must refuse to talk at
 /// connection time, not fail at merge time.
-pub const SHARD_MAGIC: &str = "idld-shard v3";
+pub const SHARD_MAGIC: &str = "idld-shard v4";
 
 use SHARD_MAGIC as MAGIC;
 
@@ -68,16 +68,8 @@ pub fn encode_shard(res: &CampaignResult, shard: usize, shards: usize) -> String
     let st = &res.snapshot_stats;
     let _ = writeln!(
         s,
-        "stats {} {} {} {} {} {} {} {} {}",
-        st.forked_runs,
-        st.cold_runs,
-        st.skipped_cycles,
-        st.captured,
-        st.ff_runs,
-        st.block.blocks_compiled,
-        st.block.block_hits,
-        st.block.chained_dispatches,
-        st.block.block_steps
+        "stats {} {} {} {}",
+        st.forked_runs, st.cold_runs, st.skipped_cycles, st.captured
     );
     let _ = writeln!(s, "records {}", res.records.len());
     for r in &res.records {
@@ -146,8 +138,8 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         .ok_or_else(|| format!("malformed stats line {stats_line:?}"))?
         .split(' ')
         .collect();
-    if nums.len() != 9 {
-        return Err(format!("stats line needs 9 fields: {stats_line:?}"));
+    if nums.len() != 4 {
+        return Err(format!("stats line needs 4 fields: {stats_line:?}"));
     }
     let field = |i: usize| -> Result<u64, String> {
         nums[i]
@@ -159,15 +151,11 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         cold_runs: field(1)? as usize,
         skipped_cycles: field(2)?,
         captured: field(3)? as usize,
-        ff_runs: field(4)? as usize,
-        block: idld_isa::BlockStats {
-            blocks_compiled: field(5)?,
-            block_hits: field(6)?,
-            chained_dispatches: field(7)?,
-            block_steps: field(8)?,
-        },
     };
 
+    // Section counts come from the artifact itself, so they are never
+    // trusted for pre-allocation: a forged count must fail as truncation
+    // when the lines run out, not abort the process on a huge reservation.
     let count = |line: &str, tag: &str| -> Result<usize, String> {
         line.strip_prefix(tag)
             .and_then(|r| r.strip_prefix(' '))
@@ -177,7 +165,7 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
     };
 
     let n = count(expect("records")?, "records")?;
-    let mut records = Vec::with_capacity(n);
+    let mut records = Vec::new();
     for _ in 0..n {
         let line = expect("a record line")?;
         let (job, row) = line
@@ -190,7 +178,7 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
     }
 
     let n = count(expect("timings")?, "timings")?;
-    let mut timings = Vec::with_capacity(n);
+    let mut timings = Vec::new();
     for _ in 0..n {
         let line = expect("a timing line")?;
         let f: Vec<&str> = line.split(',').collect();
@@ -212,7 +200,7 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
     }
 
     let n = count(expect("cells")?, "cells")?;
-    let mut cells = Vec::with_capacity(n);
+    let mut cells = Vec::new();
     for _ in 0..n {
         let line = expect("a cell header")?;
         let scope = line
@@ -313,15 +301,16 @@ fn row_scope(row: &str) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Rejects an empty or internally inconsistent set: mismatched shard
-/// counts, duplicate shard indices, a job index claimed by two shards, or
-/// a metrics cell with no backing records.
+/// Rejects an empty, incomplete or internally inconsistent set:
+/// mismatched shard counts, duplicate or missing shard indices, a job
+/// index claimed by two shards, or a metrics cell with no backing records.
 pub fn merge_shards(parts: &[ShardArtifact]) -> Result<MergedCampaign, String> {
     let Some(first) = parts.first() else {
         return Err("no shard artifacts to merge".to_string());
     };
     let shards = first.shards;
-    let mut seen = vec![false; shards];
+    // Indexed by artifact, not by the (artifact-supplied) shard count.
+    let mut seen: Vec<usize> = Vec::with_capacity(parts.len());
     for p in parts {
         if p.shards != shards {
             return Err(format!(
@@ -329,10 +318,16 @@ pub fn merge_shards(parts: &[ShardArtifact]) -> Result<MergedCampaign, String> {
                 p.shard, p.shards
             ));
         }
-        if p.shard >= shards || seen[p.shard] {
+        if p.shard >= shards || seen.contains(&p.shard) {
             return Err(format!("shard {} duplicated or out of range", p.shard));
         }
-        seen[p.shard] = true;
+        seen.push(p.shard);
+    }
+    if seen.len() != shards {
+        return Err(format!(
+            "only {} of {shards} shard artifacts present",
+            seen.len()
+        ));
     }
 
     // Records: interleave by global job index; every index owned once.
@@ -420,9 +415,7 @@ pub fn merge_shards(parts: &[ShardArtifact]) -> Result<MergedCampaign, String> {
         stats.forked_runs += p.stats.forked_runs;
         stats.cold_runs += p.stats.cold_runs;
         stats.skipped_cycles += p.stats.skipped_cycles;
-        stats.ff_runs += p.stats.ff_runs;
         stats.captured += p.stats.captured;
-        stats.block.add(&p.stats.block);
     }
 
     Ok(MergedCampaign {
@@ -467,37 +460,37 @@ mod tests {
         merge_shards(&parts).expect("consistent shards merge")
     }
 
-    /// The tentpole guarantee (and the ISSUE's regression test): shards=1
-    /// vs shards=4, snapshot on and off — byte-identical merged
-    /// records.csv, metrics.csv/json, and wall-free timings.csv.
+    /// The merge guarantee: shards=1 vs shards=2/4, forked and cold
+    /// (`snapshot_max: 0`) — byte-identical merged records.csv,
+    /// metrics.csv/json, and wall-free timings.csv.
     #[test]
     fn sharded_merge_is_byte_identical_to_single_process() {
-        for snapshot in [true, false] {
+        for snapshot_max in [64, 0] {
             let base = CampaignConfig {
                 runs_per_cell: 3,
                 seed: 9,
-                snapshot,
+                snapshot_max,
                 ..Default::default()
             };
             let single = run_with(&base, 0, 1);
             let single_metrics = CampaignMetrics::build(&single);
-            let shard_counts: &[usize] = if snapshot { &[2, 4] } else { &[4] };
+            let shard_counts: &[usize] = if snapshot_max > 0 { &[2, 4] } else { &[4] };
             for &shards in shard_counts {
                 let merged = merge_of(&base, shards);
                 assert_eq!(
                     merged.records_csv(),
                     crate::export::to_csv(&single),
-                    "records.csv must be byte-identical ({shards} shards, snapshot={snapshot})"
+                    "records.csv must be byte-identical ({shards} shards, snapshot_max={snapshot_max})"
                 );
                 assert_eq!(
                     merged.metrics_csv(),
                     metrics_csv(&single_metrics),
-                    "metrics.csv must be byte-identical ({shards} shards, snapshot={snapshot})"
+                    "metrics.csv must be byte-identical ({shards} shards, snapshot_max={snapshot_max})"
                 );
                 assert_eq!(
                     merged.metrics_json(),
                     metrics_json(&single_metrics),
-                    "metrics.json must be byte-identical ({shards} shards, snapshot={snapshot})"
+                    "metrics.json must be byte-identical ({shards} shards, snapshot_max={snapshot_max})"
                 );
                 assert_eq!(
                     merged.timings_csv(false),
@@ -561,12 +554,76 @@ mod tests {
         for bad in [
             "",
             "idld-shard v0\n",
-            "idld-shard v1\nshard 0\n",
-            "idld-shard v1\nshard 0 2\nwall_us x\n",
-            "idld-shard v1\nshard 0 2\nwall_us 1\nstats 1 2 3\n",
-            "idld-shard v1\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 1\n",
+            "idld-shard v3\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 0 0 0 0\nrecords 0\n",
+            "idld-shard v4\nshard 0\n",
+            "idld-shard v4\nshard 0 2\nwall_us x\n",
+            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3\n",
+            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 6 7 8 9\n",
+            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 1\n",
         ] {
             assert!(decode_shard(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    /// `.part` files are read back from disk (and over the wire), so the
+    /// decoder must treat them as hostile: forged section counts and
+    /// truncation anywhere are errors, never a panic or an allocation
+    /// abort.
+    #[test]
+    fn decode_survives_forged_counts_and_truncation() {
+        let base = CampaignConfig {
+            runs_per_cell: 1,
+            seed: 5,
+            ..Default::default()
+        };
+        let good = encode_shard(&run_with(&base, 0, 1), 0, 1);
+        assert!(decode_shard(&good).is_ok());
+
+        let huge = usize::MAX.to_string();
+        for tag in ["records", "timings", "cells"] {
+            let line = good
+                .lines()
+                .find(|l| l.starts_with(&format!("{tag} ")))
+                .expect("section present");
+            for forged in [huge.as_str(), "1000000000"] {
+                let text = good.replacen(line, &format!("{tag} {forged}"), 1);
+                assert!(
+                    decode_shard(&text).is_err(),
+                    "{tag} {forged} must be rejected"
+                );
+            }
+        }
+        // A forged shard count must not reach an allocation in the merge.
+        let text = good.replacen("shard 0 1", &format!("shard 0 {huge}"), 1);
+        let forged = decode_shard(&text).expect("the header itself is well formed");
+        assert!(
+            merge_shards(&[forged]).is_err(),
+            "shards missing from the set"
+        );
+
+        // Every proper prefix is a truncated artifact. Cut at each line
+        // boundary and inside lines; prefixes that end exactly at a
+        // section boundary still lack the sections after it.
+        let cuts = good
+            .match_indices('\n')
+            .map(|(i, _)| i)
+            .chain((0..good.len()).step_by(7));
+        for cut in cuts {
+            if cut < good.len() - 1 {
+                assert!(
+                    decode_shard(&good[..cut]).is_err(),
+                    "prefix of {cut}/{} bytes must be rejected",
+                    good.len()
+                );
+            }
+        }
+        // A duplicated metric line inside a cell body is garbage too.
+        let cell_line = good
+            .lines()
+            .skip_while(|l| !l.starts_with("cell "))
+            .nth(1)
+            .expect("cell body");
+        let doubled = good.replacen(cell_line, &format!("{cell_line}\n{cell_line}"), 1);
+        assert!(decode_shard(&doubled).is_err(), "duplicate metric line");
     }
 }

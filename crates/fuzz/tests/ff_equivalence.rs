@@ -1,16 +1,16 @@
 //! Seeded fast-forward equivalence fuzzing.
 //!
-//! The campaign's `IDLD_FF=1` mode replaces full mid-trace snapshots with
-//! lean ones (no memory) restored through the in-order emulator behind an
-//! architectural bit-exactness gate. Its proof obligation is that the
-//! switch is *invisible* in every output byte. These tests probe that
-//! obligation across the generator's random program space, not just the
-//! curated suite:
+//! Every forked campaign run restores a lean golden snapshot (no memory)
+//! through the in-order emulator behind an architectural bit-exactness
+//! gate. Its proof obligation is that forking is *invisible* in every
+//! output byte. These tests probe that obligation across the generator's
+//! random program space, not just the curated suite:
 //!
 //! * [`ff_campaigns_produce_bit_identical_records`] — whole campaigns
-//!   over ≥12 random halting programs, `ff` off vs on (and a nonzero
-//!   guard window): the exported `records.csv` must be byte-identical
-//!   and every forked run must have passed the arch gate.
+//!   over ≥12 random halting programs, the default forked path vs the
+//!   cold oracle (`snapshot_max: 0`) at 1 and 4 threads: the exported
+//!   `records.csv` must be byte-identical and every forked run must have
+//!   passed the arch gate.
 //! * [`ff_forks_emit_byte_identical_traces`] — single injected runs with
 //!   a [`RingRecorder`] attached: a fork restored from a full snapshot
 //!   and one restored from its lean twin through the emulator must emit
@@ -21,10 +21,6 @@
 //!   over the same random program space: identical registers, memory,
 //!   output, pc and step count at halt *and* at every sampled
 //!   `run_to_step` prefix.
-//! * [`block_campaigns_produce_bit_identical_records`] — whole
-//!   fast-forward campaigns with the block engine on vs off
-//!   (`IDLD_EMU_BLOCK=0` semantics) across thread counts: byte-identical
-//!   `records.csv`.
 
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
 use idld_campaign::{export, Campaign, CampaignConfig, GoldenRun};
@@ -84,40 +80,37 @@ fn ff_campaigns_produce_bit_identical_records() {
     let base = CampaignConfig {
         runs_per_cell: 2,
         seed: 0x1d1d,
-        snapshot: true,
         // Generated programs are far shorter than the suite workloads the
         // automatic stride is tuned for; a fine stride makes sure the
-        // forked/fast-forwarded path actually executes.
+        // forked path actually executes.
         snapshot_stride: 64,
         ..CampaignConfig::default()
     };
 
-    let plain = Campaign::new(base.clone())
-        .run(&workloads)
-        .expect("ff-off campaign");
-    let plain_csv = export::to_csv(&plain);
+    let cold = Campaign::new(CampaignConfig {
+        snapshot_max: 0,
+        ..base.clone()
+    })
+    .run(&workloads)
+    .expect("cold campaign");
+    assert_eq!(cold.snapshot_stats.forked_runs, 0, "the oracle never forks");
+    let cold_csv = export::to_csv(&cold);
 
-    for (ff_guard, threads) in [(0, 1), (0, 4), (1024, 1)] {
-        let ff = Campaign::new(CampaignConfig {
-            ff: true,
-            ff_guard,
+    for threads in [1, 4] {
+        let forked = Campaign::new(CampaignConfig {
             threads,
             ..base.clone()
         })
         .run(&workloads)
-        .expect("ff-on campaign");
+        .expect("default campaign");
         assert_eq!(
-            plain_csv,
-            export::to_csv(&ff),
-            "guard {ff_guard}, {threads} thread(s): fast-forward changed a record byte"
+            cold_csv,
+            export::to_csv(&forked),
+            "{threads} thread(s): forking changed a record byte"
         );
-        assert_eq!(ff.poisoned().count(), 0, "no run tripped the arch gate");
-        assert_eq!(
-            ff.snapshot_stats.ff_runs, ff.snapshot_stats.forked_runs,
-            "every forked run went through the emulator hand-off"
-        );
+        assert_eq!(forked.poisoned().count(), 0, "no run tripped the arch gate");
         assert!(
-            ff.snapshot_stats.ff_runs > 0,
+            forked.snapshot_stats.forked_runs > 0,
             "random programs produced no forked runs — the test probes nothing"
         );
     }
@@ -138,7 +131,7 @@ fn block_engine_matches_single_step_on_random_programs() {
     let mut dispatched = 0u64;
     for w in &random_workloads(0xb10c) {
         // Full run to halt on both engines.
-        let mut blocked = Emulator::with_block_engine(&w.program, true);
+        let mut blocked = Emulator::new(&w.program);
         let mut reference = Emulator::single_step(&w.program);
         let rb = blocked.run(w.max_steps);
         let rr = reference.run(w.max_steps);
@@ -151,7 +144,7 @@ fn block_engine_matches_single_step_on_random_programs() {
         // boundaries.
         let total = rb.steps;
         for target in [1, total / 3, total / 2, total - 1, total] {
-            let mut blocked = Emulator::with_block_engine(&w.program, true);
+            let mut blocked = Emulator::new(&w.program);
             let mut reference = Emulator::single_step(&w.program);
             blocked
                 .run_to_step(target)
@@ -166,48 +159,6 @@ fn block_engine_matches_single_step_on_random_programs() {
         dispatched > 0,
         "random programs never dispatched a block — the sweep probes nothing"
     );
-}
-
-#[test]
-fn block_campaigns_produce_bit_identical_records() {
-    let workloads = random_workloads(0xcafe);
-    let base = CampaignConfig {
-        runs_per_cell: 2,
-        seed: 0xb10c,
-        snapshot: true,
-        ff: true,
-        snapshot_stride: 64,
-        ..CampaignConfig::default()
-    };
-
-    let blocked = Campaign::new(base.clone())
-        .run(&workloads)
-        .expect("block-on campaign");
-    let blocked_csv = export::to_csv(&blocked);
-    assert!(
-        blocked.snapshot_stats.block.dispatches() > 0,
-        "fast-forward hand-offs never dispatched a block"
-    );
-
-    for threads in [1, 4] {
-        let single = Campaign::new(CampaignConfig {
-            emu_block: false,
-            threads,
-            ..base.clone()
-        })
-        .run(&workloads)
-        .expect("block-off campaign");
-        assert_eq!(
-            blocked_csv,
-            export::to_csv(&single),
-            "{threads} thread(s): disabling the block engine changed a record byte"
-        );
-        assert_eq!(
-            single.snapshot_stats.block,
-            idld_isa::BlockStats::default(),
-            "block-off campaign must not touch the block engine"
-        );
-    }
 }
 
 #[test]

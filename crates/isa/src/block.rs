@@ -134,9 +134,9 @@ pub(crate) struct Block {
     pub total_steps: u64,
 }
 
-/// Dispatch counters, cumulative over the engine's lifetime. Reported per
-/// campaign in `BENCH_campaign.json`; like wall-clock they depend on
-/// scheduling (worker cache reuse), not on the deterministic record stream.
+/// Dispatch counters, cumulative over the engine's lifetime
+/// ([`Emulator::block_stats`](crate::Emulator::block_stats)); the tests
+/// read them to prove the engine actually dispatched blocks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct BlockStats {
     /// Blocks translated at program load.
@@ -167,25 +167,6 @@ impl BlockStats {
             0.0
         } else {
             self.block_steps as f64 / d as f64
-        }
-    }
-
-    /// Field-wise sum, for per-campaign aggregation.
-    pub fn add(&mut self, other: &BlockStats) {
-        self.blocks_compiled += other.blocks_compiled;
-        self.block_hits += other.block_hits;
-        self.chained_dispatches += other.chained_dispatches;
-        self.block_steps += other.block_steps;
-    }
-
-    /// Field-wise difference against an `earlier` reading of the same
-    /// cumulative counters (the per-run harvest of a cached emulator).
-    pub fn since(&self, earlier: &BlockStats) -> BlockStats {
-        BlockStats {
-            blocks_compiled: self.blocks_compiled - earlier.blocks_compiled,
-            block_hits: self.block_hits - earlier.block_hits,
-            chained_dispatches: self.chained_dispatches - earlier.chained_dispatches,
-            block_steps: self.block_steps - earlier.block_steps,
         }
     }
 }

@@ -96,25 +96,22 @@ impl Emulator {
     /// Creates an emulator with fresh memory built from the program image,
     /// pre-decoding the instruction stream into the basic-block engine.
     pub fn new(program: &Program) -> Self {
-        Self::with_block_engine(program, true)
+        Emulator {
+            engine: Some(BlockEngine::compile(program)),
+            ..Self::single_step(program)
+        }
     }
 
     /// Creates a pure single-step emulator (no block cache): the reference
     /// interpreter the block engine is proven bit-identical against.
     pub fn single_step(program: &Program) -> Self {
-        Self::with_block_engine(program, false)
-    }
-
-    /// Creates an emulator with the block engine explicitly on or off
-    /// (`IDLD_EMU_BLOCK` threads through here).
-    pub fn with_block_engine(program: &Program, block: bool) -> Self {
         Emulator {
             regs: [0; NUM_ARCH_REGS],
             pc: 0,
             mem: program.build_memory(),
             output: Vec::new(),
             steps: 0,
-            engine: block.then(|| BlockEngine::compile(program)),
+            engine: None,
             program: program.clone(),
         }
     }

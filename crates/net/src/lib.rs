@@ -2,7 +2,7 @@
 //!
 //! Promotes `campaignd` from "re-exec self N times on one host" to a
 //! coordinator/worker service over TCP. The deterministic foundation is
-//! the `idld-shard v3` artifact format and its byte-identical merge
+//! the `idld-shard v4` artifact format and its byte-identical merge
 //! (`idld_campaign::shard`); this crate adds the networking and
 //! fault-tolerance layers on top:
 //!

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 
 /// Protocol grammar version, exchanged in HELLO/WELCOME. Bumped on any
 /// incompatible message change.
-pub const PROTO_VERSION: &str = "idld-net v1";
+pub const PROTO_VERSION: &str = "idld-net v2";
 
 /// The campaign parameters a JOB assignment carries — everything a
 /// remote worker needs to run its shard *identically* to an in-process
@@ -48,12 +48,6 @@ pub struct JobSpec {
     pub runs_per_cell: usize,
     /// Master campaign seed.
     pub seed: u64,
-    /// Snapshot-and-fork execution.
-    pub snapshot: bool,
-    /// Functional fast-forward.
-    pub ff: bool,
-    /// Fast-forward guard window, in cycles.
-    pub ff_guard: u64,
     /// Raw sweep specification (empty = the default point).
     pub sweep: String,
     /// Raw workload filter (empty = the full suite).
@@ -69,9 +63,6 @@ impl JobSpec {
         let _ = writeln!(s, "shards {}", self.shards);
         let _ = writeln!(s, "runs_per_cell {}", self.runs_per_cell);
         let _ = writeln!(s, "seed {}", self.seed);
-        let _ = writeln!(s, "snapshot {}", self.snapshot as u8);
-        let _ = writeln!(s, "ff {}", self.ff as u8);
-        let _ = writeln!(s, "ff_guard {}", self.ff_guard);
         let _ = writeln!(s, "sweep {}", self.sweep);
         let _ = writeln!(s, "workloads {}", self.workloads);
         let _ = writeln!(s, "scale {}", self.scale);
@@ -222,13 +213,6 @@ impl Message {
         {
             v.parse().map_err(|e| format!("field {key} {v:?}: {e}"))
         }
-        fn flag(key: &str, v: &str) -> Result<bool, String> {
-            match v {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                _ => Err(format!("field {key} {v:?}: expected 0 or 1")),
-            }
-        }
         let msg = match tag {
             "HELLO" => Message::Hello {
                 proto: field("proto")?,
@@ -243,9 +227,6 @@ impl Message {
                 shards: num("shards", &field("shards")?)?,
                 runs_per_cell: num("runs_per_cell", &field("runs_per_cell")?)?,
                 seed: num("seed", &field("seed")?)?,
-                snapshot: flag("snapshot", &field("snapshot")?)?,
-                ff: flag("ff", &field("ff")?)?,
-                ff_guard: num("ff_guard", &field("ff_guard")?)?,
                 sweep: field("sweep")?,
                 workloads: field("workloads")?,
                 scale: num("scale", &field("scale")?)?,
@@ -317,9 +298,6 @@ mod tests {
             shards: 8,
             runs_per_cell: 12,
             seed: 0x1d1d,
-            snapshot: true,
-            ff: false,
-            ff_guard: 256,
             sweep: "grid".to_string(),
             workloads: "crc32,basicmath".to_string(),
             scale: 1,
@@ -347,7 +325,7 @@ mod tests {
             },
             Message::Artifact {
                 shard: 1,
-                body: "idld-shard v3\nshard 1 4\nmulti\nline body\n".to_string(),
+                body: "idld-shard v4\nshard 1 4\nmulti\nline body\n".to_string(),
             },
             Message::Artifact {
                 shard: 0,
@@ -390,11 +368,12 @@ mod tests {
             "",
             "GREETINGS\n",
             "HELLO\n",
-            "HELLO\nproto idld-net v1\n",
+            "HELLO\nproto idld-net v2\n",
             "HELLO\nmagic first\nproto second\n",
             "WELCOME\nshards four\n",
             "JOB\nshard 1\n",
-            "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed 4\nsnapshot maybe\n",
+            "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed many\n",
+            "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed 4\nsnapshot 1\n",
             "WAIT\n",
             "PROGRESS\nshard 0\ncompleted 1\n",
             "ART\nshard 0\n",

@@ -19,9 +19,6 @@ fn base_spec(shards: usize) -> JobSpec {
         shards,
         runs_per_cell: 2,
         seed: 23,
-        snapshot: true,
-        ff: false,
-        ff_guard: 0,
         sweep: String::new(),
         workloads: WORKLOADS.to_string(),
         scale: 1,
@@ -40,7 +37,6 @@ fn config_of(spec: &JobSpec) -> CampaignConfig {
     CampaignConfig {
         runs_per_cell: spec.runs_per_cell,
         seed: spec.seed,
-        snapshot: spec.snapshot,
         shard: spec.shard,
         shards: spec.shards,
         ..CampaignConfig::default()

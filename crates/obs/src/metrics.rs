@@ -252,6 +252,9 @@ impl MetricsRegistry {
                 f.next()
                     .ok_or_else(|| format!("kv line {line:?}: no name"))?,
             );
+            if m.counters.contains_key(name) || m.histograms.contains_key(name) {
+                return Err(format!("kv line {line:?}: duplicate metric {name:?}"));
+            }
             match kind {
                 Some("c") => {
                     m.add(name, num(f.next(), line)?);
