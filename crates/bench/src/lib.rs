@@ -31,11 +31,6 @@ use idld_campaign::{Campaign, CampaignConfig, CampaignResult, SnapshotStats, Std
 /// (default 1; see `idld_workloads::suite_scaled`).
 pub const WORKLOAD_SCALE_ENV: &str = "IDLD_WORKLOAD_SCALE";
 
-/// Environment variable: directory shard artifacts are written to and
-/// merged from (`shard-<i>.part`), shared by the local multi-process
-/// driver and the distributed service.
-pub const SHARD_DIR_ENV: &str = "IDLD_SHARD_DIR";
-
 /// Environment variable: comma-separated workload filter for campaign
 /// drivers (empty/unset = the full suite).
 pub const WORKLOADS_ENV: &str = "IDLD_WORKLOADS";

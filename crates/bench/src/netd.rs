@@ -1,26 +1,27 @@
 //! `netd` — the campaign side of the distributed fault-injection
-//! service.
+//! service, the one way a campaign is split across processes.
 //!
 //! `idld-net` is transport-only; this module supplies the campaign
-//! knowledge both service binaries (`campaignd --listen/--connect` and
-//! the thin `netd` alias) share:
+//! knowledge `campaignd` needs in each of its roles (`--shards N` on
+//! loopback, `--listen` across hosts, `--connect` as a worker):
 //!
 //! - building the coordinator's [`JobSpec`] template from the inherited
 //!   environment, so every assignment carries the *complete* campaign
 //!   description and remote workers never depend on matching env;
 //! - executing one assignment ([`run_campaign_job`]): spec → suite →
-//!   `Campaign::run` → encoded `idld-shard v4` artifact, with progress
+//!   `Campaign::run` → encoded `idld-shard v5` artifact, with progress
 //!   streamed back over the wire (throttled to one frame per interval);
 //! - merging the persisted `.part` files into outputs byte-identical to
 //!   a single-process run ([`merge_parts`]);
-//! - spawning loopback worker processes for single-host scale-out.
+//! - spawning loopback worker processes for single-host scale-out, which
+//!   never outlive the coordinator call that spawned them.
 //!
 //! Test instrumentation: a worker started with `IDLD_NETD_STALL=1`
 //! prints `netd worker: stalling on shard <i>` for its first assignment
 //! and then hangs forever — the hook the kill-and-retry tests (and the CI
 //! smoke) use to lose a worker at a deterministic point.
 
-use idld_campaign::ledger::part_path;
+use idld_campaign::ledger::{part_path, ShardLedger};
 use idld_campaign::{
     campaign, decode_shard, encode_shard, export, merge_shards, Campaign, CampaignConfig,
     CampaignProgress, MergedCampaign, ProgressSnapshot, StderrProgress, SweepSpec,
@@ -40,7 +41,7 @@ pub const STALL_ENV: &str = "IDLD_NETD_STALL";
 /// The [`JobSpec`] template a coordinator dispatches, resolved from the
 /// same environment knobs an in-process campaign reads — plus the
 /// `shards` split. `runs_per_cell` falls back to the bench default (12)
-/// when unset, matching `campaignd`'s local mode.
+/// when unset.
 ///
 /// # Errors
 ///
@@ -60,6 +61,7 @@ pub fn job_template_from_env(shards: usize) -> Result<JobSpec, String> {
         sweep: std::env::var(campaign::SWEEP_ENV).unwrap_or_default(),
         workloads: std::env::var(crate::WORKLOADS_ENV).unwrap_or_default(),
         scale: crate::try_workload_scale()?,
+        smt: cfg.smt,
     };
     spec.validate_as_template()?;
     // Fail on unknown workload names coordinator-side, before dispatch.
@@ -91,30 +93,27 @@ pub fn suite_for(spec: &JobSpec) -> Result<Vec<idld_workloads::Workload>, String
 }
 
 /// The [`CampaignConfig`] `spec` describes. Deterministic fields come
-/// from the spec alone; worker-local performance knobs (scheduler
-/// threads) come from this host's environment, which cannot change the
-/// record stream.
+/// from the spec alone; the host-local performance knobs (scheduler
+/// threads, snapshot stride and cap), which cannot change the record
+/// stream, come from this host's environment
+/// ([`CampaignConfig::with_local_env`]) — nothing else of it is read.
 ///
 /// # Errors
 ///
-/// A malformed sweep in the spec, or a malformed local thread override.
+/// A malformed sweep in the spec, or a malformed local knob.
 pub fn config_for(spec: &JobSpec) -> Result<CampaignConfig, String> {
     let mut cfg = CampaignConfig {
         runs_per_cell: spec.runs_per_cell,
         seed: spec.seed,
         shard: spec.shard,
         shards: spec.shards,
+        smt: spec.smt,
         ..CampaignConfig::default()
-    };
+    }
+    .with_local_env()?;
     if !spec.sweep.is_empty() {
         cfg.sweep = SweepSpec::parse(&spec.sweep)
             .map_err(|e| format!("job sweep {:?} is invalid: {e}", spec.sweep))?;
-    }
-    if let Ok(raw) = std::env::var(campaign::THREADS_ENV) {
-        cfg.threads = raw
-            .trim()
-            .parse()
-            .map_err(|e| format!("{}={raw:?} is invalid: {e}", campaign::THREADS_ENV))?;
     }
     Ok(cfg)
 }
@@ -214,10 +213,13 @@ pub type Served = (MergedCampaign, ServeOutcome, f64);
 /// Binds `addr`, serves the campaign's `shards` to TCP workers until
 /// every artifact is persisted under `dir`, then merges. The job
 /// template comes from this process's environment
-/// ([`job_template_from_env`]); `workers` > 0 additionally spawns that
-/// many loopback worker processes (`exe --connect` children). With
-/// `resume`, shards whose `.part` already decodes cleanly are not
-/// re-dispatched.
+/// ([`job_template_from_env`]); `workers` > 0 additionally spawns up to
+/// that many loopback worker processes (`exe --connect` children), never
+/// more than there are shards left to run, which are killed and reaped
+/// on every return path. With `resume`, shards whose `.part` already
+/// decodes cleanly are not re-dispatched. The reported
+/// wall-clock runs from just before the workers spawn to the last
+/// persisted artifact.
 pub fn serve_campaign(
     addr: &str,
     shards: usize,
@@ -227,8 +229,11 @@ pub fn serve_campaign(
     exe: &Path,
     verbose: bool,
 ) -> Result<Served, String> {
+    // Everything that can fail before dispatch fails here, before a
+    // single worker exists.
     let base = job_template_from_env(shards)?;
     let heartbeat_ms = idld_net::env::try_heartbeat_ms()?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let listener = TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
     let local = listener
         .local_addr()
@@ -239,13 +244,16 @@ pub fn serve_campaign(
             dir.display()
         );
     }
-    let children = if workers > 0 {
-        spawn_loopback_workers(exe, &local.to_string(), workers)
-            .map_err(|e| format!("cannot spawn loopback workers: {e}"))?
+    // Start no more loopback workers than there are shards left to run,
+    // so on a resume each one gets a larger share of the host's cores.
+    let missing = if resume {
+        shards - ShardLedger::new(shards).resume_from_dir(dir)
     } else {
-        Vec::new()
+        shards
     };
     let t0 = Instant::now();
+    let _workers = spawn_loopback_workers(exe, &local.to_string(), workers.min(missing))
+        .map_err(|e| format!("cannot spawn loopback workers: {e}"))?;
     let outcome = idld_net::serve(
         listener,
         ServeOpts {
@@ -257,16 +265,12 @@ pub fn serve_campaign(
         },
     )?;
     let wall = t0.elapsed().as_secs_f64();
-    for mut child in children {
-        let _ = child.wait();
-    }
     let merged = merge_parts(dir, shards)?;
     Ok((merged, outcome, wall))
 }
 
 /// Writes the four merged campaign artifacts into `dir` (honoring
-/// `IDLD_TIMINGS_WALL` for the timings export), shared by every
-/// coordinator front-end.
+/// `IDLD_TIMINGS_WALL` for the timings export).
 pub fn write_merged_outputs(merged: &MergedCampaign, dir: &Path) -> Result<(), String> {
     let wall = export::timings_wall_from_env()?;
     for (name, body) in [
@@ -281,27 +285,44 @@ pub fn write_merged_outputs(merged: &MergedCampaign, dir: &Path) -> Result<(), S
     Ok(())
 }
 
+/// Loopback worker processes that are killed and reaped when dropped.
+/// By the time a coordinator returns, every artifact is persisted (or
+/// the run failed), so a worker still alive then has nothing left to
+/// do: it is in its reconnect backoff, or retrying against a
+/// coordinator that is gone.
+struct LoopbackWorkers(Vec<Child>);
+
+impl Drop for LoopbackWorkers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
 /// Spawns `n` loopback worker processes (`exe --connect addr`), each
 /// pinned to an equal share of the host's cores unless the environment
-/// already pins threads — the same no-oversubscription policy as the
-/// local multi-process mode. Stdout is discarded; stderr is inherited
-/// (workers already prefix their progress).
-pub fn spawn_loopback_workers(exe: &Path, addr: &str, n: usize) -> std::io::Result<Vec<Child>> {
+/// already pins threads, so a loopback campaign never oversubscribes the
+/// host. Stdout is discarded; stderr is inherited (workers already
+/// prefix their progress). A spawn failure reaps the workers already
+/// started.
+fn spawn_loopback_workers(exe: &Path, addr: &str, n: usize) -> std::io::Result<LoopbackWorkers> {
     let threads_set = std::env::var(campaign::THREADS_ENV).is_ok();
     let per_worker = crate::host_cores().div_ceil(n.max(1)).max(1);
-    (0..n)
-        .map(|_| {
-            let mut cmd = Command::new(exe);
-            cmd.arg("--connect")
-                .arg(addr)
-                .stdin(Stdio::null())
-                .stdout(Stdio::null());
-            if !threads_set {
-                cmd.env(campaign::THREADS_ENV, per_worker.to_string());
-            }
-            cmd.spawn()
-        })
-        .collect()
+    let mut workers = LoopbackWorkers(Vec::with_capacity(n));
+    for _ in 0..n {
+        let mut cmd = Command::new(exe);
+        cmd.arg("--connect")
+            .arg(addr)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null());
+        if !threads_set {
+            cmd.env(campaign::THREADS_ENV, per_worker.to_string());
+        }
+        workers.0.push(cmd.spawn()?);
+    }
+    Ok(workers)
 }
 
 #[cfg(test)]
@@ -317,6 +338,7 @@ mod tests {
             sweep: String::new(),
             workloads: "crc32".to_string(),
             scale: 1,
+            smt: false,
         }
     }
 

@@ -1,9 +1,10 @@
-//! Process-level distributed-service tests: a real `campaignd --listen`
-//! coordinator, real `--connect` worker processes over loopback TCP, a
-//! real SIGKILL mid-shard — and the tentpole's proof obligation checked
-//! at the outermost boundary: the files on disk are byte-identical to a
-//! single-process run.
+//! Process-level distributed-service tests: real `campaignd`
+//! coordinators, real `--connect` worker processes over loopback TCP, a
+//! real SIGKILL mid-shard — and the proof obligation checked at the
+//! outermost boundary: the files on disk are byte-identical to an
+//! in-process run.
 
+use idld_campaign::{export, metrics_csv, Campaign, CampaignConfig, CampaignMetrics};
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -11,7 +12,6 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const CAMPAIGND: &str = env!("CARGO_BIN_EXE_campaignd");
-const NETD: &str = env!("CARGO_BIN_EXE_netd");
 
 /// The tiny deterministic campaign every process in these tests runs.
 const CAMPAIGN_ENV: &[(&str, &str)] = &[
@@ -92,16 +92,22 @@ fn wait_with_deadline(child: &mut Child, what: &str, timeout: Duration) {
     }
 }
 
-/// Runs the reference single-process campaign and returns
-/// `(records.csv, metrics.csv)`.
-fn single_process_outputs(dir: &Path) -> (String, String) {
-    let mut cmd = campaign_cmd(CAMPAIGND);
-    cmd.arg("--out").arg(dir).arg("--shards").arg("1");
-    let (mut child, _rx) = spawn_watched(cmd, "ref");
-    wait_with_deadline(&mut child, "reference campaignd", Duration::from_secs(120));
+/// The reference `(records.csv, metrics.csv)` of [`CAMPAIGN_ENV`]'s
+/// campaign, computed in-process.
+fn single_process_outputs() -> (String, String) {
+    let suite: Vec<_> = idld_workloads::suite()
+        .into_iter()
+        .filter(|w| w.name == "crc32" || w.name == "basicmath")
+        .collect();
+    let cfg = CampaignConfig {
+        runs_per_cell: 2,
+        seed: 23,
+        ..CampaignConfig::default()
+    };
+    let res = Campaign::new(cfg).run(&suite).expect("reference campaign");
     (
-        std::fs::read_to_string(dir.join("records.csv")).expect("reference records"),
-        std::fs::read_to_string(dir.join("metrics.csv")).expect("reference metrics"),
+        export::to_csv(&res),
+        metrics_csv(&CampaignMetrics::build(&res)),
     )
 }
 
@@ -154,8 +160,7 @@ fn spawn_coordinator(
 
 #[test]
 fn killed_worker_is_reassigned_and_the_files_match_single_process() {
-    let ref_dir = temp_dir("kill-ref");
-    let (records, metrics) = single_process_outputs(&ref_dir);
+    let (records, metrics) = single_process_outputs();
 
     let dir = temp_dir("kill-svc");
     let shards = 3;
@@ -204,7 +209,6 @@ fn killed_worker_is_reassigned_and_the_files_match_single_process() {
     assert!(service_counter(&dir, "shards_retried") >= 1);
     assert_eq!(service_counter(&dir, "artifacts_accepted"), shards as u64);
 
-    std::fs::remove_dir_all(&ref_dir).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -212,41 +216,49 @@ fn killed_worker_is_reassigned_and_the_files_match_single_process() {
 fn netd_resume_redispatches_only_missing_shards() {
     let dir = temp_dir("resume-svc");
     let shards = 3;
+    let sharded = |resume: bool| {
+        let mut cmd = campaign_cmd(CAMPAIGND);
+        cmd.arg("--out")
+            .arg(&dir)
+            .arg("--shards")
+            .arg(shards.to_string());
+        if resume {
+            cmd.arg("--resume");
+        }
+        cmd
+    };
 
-    // First pass with the standalone netd binary and self-spawned
-    // loopback workers.
-    let mut cmd = campaign_cmd(NETD);
-    cmd.arg("--listen")
-        .arg("127.0.0.1:0")
-        .arg("--out")
-        .arg(&dir)
-        .arg("--shards")
-        .arg(shards.to_string())
-        .arg("--workers")
-        .arg("2");
-    let (mut first, _rx) = spawn_watched(cmd, "netd1");
-    wait_with_deadline(&mut first, "netd first pass", Duration::from_secs(180));
+    // First pass: one loopback worker per shard.
+    let (mut first, _rx) = spawn_watched(sharded(false), "pass1");
+    wait_with_deadline(&mut first, "first pass", Duration::from_secs(180));
     let records = std::fs::read_to_string(dir.join("records.csv")).expect("first records");
+    assert_eq!(records, single_process_outputs().0);
     assert_eq!(service_counter(&dir, "shards_resumed"), 0);
 
-    // Kill-and-restart: lose shard 1's artifact, resume. Only the missing
-    // shard may be dispatched again.
+    // Kill-and-restart: lose shard 1's artifact and flip one bit of
+    // shard 2's (a digit that still parses — only the digest can tell),
+    // then resume. Only those two may be dispatched again; shard 0's
+    // clean part is reused.
     std::fs::remove_file(dir.join("shard-1.part")).expect("drop shard 1");
-    let mut cmd = campaign_cmd(NETD);
-    cmd.arg("--listen")
-        .arg("127.0.0.1:0")
-        .arg("--out")
-        .arg(&dir)
-        .arg("--shards")
-        .arg(shards.to_string())
-        .arg("--workers")
-        .arg("1")
-        .arg("--resume");
-    let (mut second, _rx) = spawn_watched(cmd, "netd2");
-    wait_with_deadline(&mut second, "netd resume pass", Duration::from_secs(180));
+    let part2 = dir.join("shard-2.part");
+    let mut bytes = std::fs::read(&part2).expect("read shard 2");
+    let at = bytes
+        .windows(8)
+        .position(|w| w == b"wall_us ")
+        .expect("wall line")
+        + 8;
+    bytes[at] ^= 1;
+    std::fs::write(&part2, bytes).expect("corrupt shard 2");
+    let (mut second, _rx) = spawn_watched(sharded(true), "pass2");
+    wait_with_deadline(&mut second, "resume pass", Duration::from_secs(180));
 
-    assert_eq!(service_counter(&dir, "shards_resumed"), (shards - 1) as u64);
-    assert_eq!(service_counter(&dir, "shards_dispatched"), 1);
+    assert_eq!(service_counter(&dir, "shards_resumed"), 1);
+    assert_eq!(service_counter(&dir, "shards_dispatched"), 2);
+    assert_eq!(
+        service_counter(&dir, "workers_connected"),
+        2,
+        "one loopback worker per missing shard, not per shard"
+    );
     assert_eq!(
         std::fs::read_to_string(dir.join("records.csv")).expect("resumed records"),
         records,
@@ -255,56 +267,59 @@ fn netd_resume_redispatches_only_missing_shards() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A coordinator that cannot start must fail fast and leave no loopback
+/// worker behind retrying against it.
 #[test]
-fn local_sharded_resume_skips_clean_parts() {
-    let dir = temp_dir("resume-local");
-    let shards = 2;
+fn unusable_out_dir_fails_fast_without_orphans() {
+    let dir = temp_dir("bad-out");
+    let file = dir.join("not-a-dir");
+    std::fs::write(&file, "a regular file").expect("plant file");
     let mut cmd = campaign_cmd(CAMPAIGND);
-    cmd.arg("--out")
-        .arg(&dir)
-        .arg("--shards")
-        .arg(shards.to_string());
-    let (mut first, _rx) = spawn_watched(cmd, "local1");
-    wait_with_deadline(&mut first, "local first pass", Duration::from_secs(120));
-    let records = std::fs::read_to_string(dir.join("records.csv")).expect("first records");
-
-    // Corrupt one part, keep the other: --resume must re-run exactly the
-    // corrupted shard (the clean shard's worker would log a fresh
-    // "shard 0" line if it ran again — instead only shard 1 appears).
-    std::fs::write(dir.join("shard-1.part"), "idld-shard v4\ntruncated").expect("corrupt");
-    let mut cmd = campaign_cmd(CAMPAIGND);
-    cmd.arg("--out")
-        .arg(&dir)
-        .arg("--shards")
-        .arg(shards.to_string())
-        .arg("--resume");
-    let (mut second, rx) = spawn_watched(cmd, "local2");
-    wait_with_deadline(&mut second, "local resume pass", Duration::from_secs(120));
-    // Drain until the relay thread hits EOF and disconnects — the child
-    // has exited, but its last lines may still be in flight.
-    let mut lines: Vec<String> = Vec::new();
-    while let Ok(l) = rx.recv_timeout(Duration::from_secs(5)) {
-        lines.push(l);
+    cmd.arg("--out").arg(&file).arg("--shards").arg("2");
+    let (mut child, rx) = spawn_watched(cmd, "bad-out");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("campaignd did not exit within 5 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(!status.success(), "exited with {status}");
+    // The relay sees EOF only once every holder of the stderr pipe is
+    // gone: an orphaned worker would keep it open.
+    let mut stderr = Vec::new();
+    loop {
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(line) => stderr.push(line),
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("a worker outlived campaignd"),
+        }
     }
+    let name = file.display().to_string();
     assert!(
-        lines.iter().any(|l| l.contains("resumed 1/2 shard(s)")),
-        "resume accounting line missing from:\n{}",
-        lines.join("\n")
-    );
-    assert!(
-        !lines.iter().any(|l| l.starts_with("[shard 0]")),
-        "shard 0 was clean but re-ran:\n{}",
-        lines.join("\n")
-    );
-    assert!(
-        lines.iter().any(|l| l.starts_with("[shard 1]")),
-        "shard 1 was corrupt but did not re-run:\n{}",
-        lines.join("\n")
-    );
-    assert_eq!(
-        std::fs::read_to_string(dir.join("records.csv")).expect("resumed records"),
-        records,
-        "resume reproduced the identical merge"
+        stderr.iter().any(|l| l.contains(&name)),
+        "stderr does not name {name}:\n{}",
+        stderr.join("\n")
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--workers` sizes the pool of a `--listen` coordinator only; with
+/// `--shards` alone it is refused, not silently applied or ignored.
+#[test]
+fn workers_without_listen_is_refused() {
+    let out = campaign_cmd(CAMPAIGND)
+        .args(["--shards", "2", "--workers", "3"])
+        .output()
+        .expect("run campaignd");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--workers applies only with --listen"),
+        "{stderr}"
+    );
 }

@@ -99,10 +99,6 @@ pub const SNAPSHOT_STRIDE_ENV: &str = "IDLD_SNAPSHOT_STRIDE";
 /// disables capture, so every run simulates from power-on — the cold
 /// oracle the forked record stream is byte-compared against.
 pub const SNAPSHOT_MAX_ENV: &str = "IDLD_SNAPSHOT_MAX";
-/// Environment variable: this process's shard index, `0..IDLD_SHARDS`.
-pub const SHARD_ENV: &str = "IDLD_SHARD";
-/// Environment variable: total shard count (default 1 = unsharded).
-pub const SHARDS_ENV: &str = "IDLD_SHARDS";
 /// Environment variable: config-space sweep specification (`grid` or
 /// comma-separated `w<width>c<ckpts>r<rob>` points; unset = no sweep).
 pub const SWEEP_ENV: &str = "IDLD_SWEEP";
@@ -113,6 +109,54 @@ pub const SWEEP_ENV: &str = "IDLD_SWEEP";
 /// (see [`crate::smt`]). With `0` the record stream is byte-identical
 /// to a campaign without the axis.
 pub const SMT_ENV: &str = "IDLD_SMT";
+
+/// Variables earlier versions read, each with what replaces it. Setting
+/// one is an error: ignoring it would quietly run a different campaign
+/// than the one asked for (an unsharded run for `IDLD_SHARDS=4`).
+pub const RETIRED_ENV: &[(&str, &str)] = &[
+    ("IDLD_SHARD", "use `campaignd --shards N`"),
+    ("IDLD_SHARDS", "use `campaignd --shards N`"),
+    ("IDLD_SHARD_DIR", "use `campaignd --shards N --out DIR`"),
+    (
+        "IDLD_SNAPSHOT",
+        "use IDLD_SNAPSHOT_MAX=0 for the cold oracle",
+    ),
+    ("IDLD_FF", "use IDLD_SNAPSHOT_MAX=0 for the cold oracle"),
+    (
+        "IDLD_FF_GUARD",
+        "removed: the bit-exactness gate always runs",
+    ),
+    (
+        "IDLD_EMU_BLOCK",
+        "removed: the block-cached emulator always runs",
+    ),
+];
+
+/// Strictly parses environment variable `name` with `parse`: unset is
+/// `None`, a set-but-malformed value is an error naming the variable.
+fn parse_env_with<T>(
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Ok(raw) => parse(&raw)
+            .map(Some)
+            .map_err(|e| format!("{name}={raw:?} is invalid: {e}")),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(e) => Err(format!("{name} is unreadable: {e}")),
+    }
+}
+
+/// [`parse_env_with`] through [`str::parse`], surrounding whitespace
+/// trimmed.
+fn parse_env<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    parse_env_with(name, |raw| {
+        raw.trim().parse().map_err(|e: T::Err| e.to_string())
+    })
+}
 
 /// Campaign parameters.
 #[derive(Clone, Debug)]
@@ -177,86 +221,67 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Reads [`RUNS_PER_CELL_ENV`], [`SEED_ENV`] and [`THREADS_ENV`] from
-    /// the environment, falling back to the defaults — the hook the bench
-    /// harnesses use to scale toward the paper's 1 000 runs per cell.
+    /// Reads every campaign knob ([`RUNS_PER_CELL_ENV`], [`SEED_ENV`],
+    /// [`SMT_ENV`], [`SWEEP_ENV`] and the [local](Self::with_local_env)
+    /// ones) from the environment, falling back to the defaults — the
+    /// hook the bench harnesses use to scale toward the paper's 1 000
+    /// runs per cell.
     ///
     /// # Errors
     ///
     /// A set-but-malformed variable is an error, not a silent fallback: a
     /// typo in `IDLD_RUNS_PER_CELL` must not quietly degrade a 1 000-run
-    /// campaign to the 30-run default.
+    /// campaign to the 30-run default. So is any [`RETIRED_ENV`] variable
+    /// that is set, naming its replacement.
     pub fn try_from_env() -> Result<Self, String> {
-        fn parse<T: std::str::FromStr>(name: &str) -> Result<Option<T>, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            match std::env::var(name) {
-                Ok(raw) => raw
-                    .trim()
-                    .parse()
-                    .map(Some)
-                    .map_err(|e| format!("{name}={raw:?} is invalid: {e}")),
-                Err(std::env::VarError::NotPresent) => Ok(None),
-                Err(e) => Err(format!("{name} is unreadable: {e}")),
-            }
-        }
-        let mut cfg = CampaignConfig::default();
-        if let Some(n) = parse(RUNS_PER_CELL_ENV)? {
+        let mut cfg = CampaignConfig::default().with_local_env()?;
+        if let Some(n) = parse_env(RUNS_PER_CELL_ENV)? {
             cfg.runs_per_cell = n;
         }
-        if let Some(s) = parse(SEED_ENV)? {
+        if let Some(s) = parse_env(SEED_ENV)? {
             cfg.seed = s;
         }
-        if let Some(t) = parse(THREADS_ENV)? {
-            cfg.threads = t;
-        }
-        fn parse_flag(name: &str) -> Result<Option<bool>, String> {
-            match std::env::var(name) {
-                Ok(raw) => match raw.trim() {
-                    "0" => Ok(Some(false)),
-                    "1" => Ok(Some(true)),
-                    _ => Err(format!("{name}={raw:?} is invalid: expected 0 or 1")),
-                },
-                Err(std::env::VarError::NotPresent) => Ok(None),
-                Err(e) => Err(format!("{name} is unreadable: {e}")),
-            }
-        }
-        if let Some(s) = parse(SNAPSHOT_STRIDE_ENV)? {
-            cfg.snapshot_stride = s;
-        }
-        if let Some(m) = parse(SNAPSHOT_MAX_ENV)? {
-            cfg.snapshot_max = m;
-        }
-        if let Some(on) = parse_flag(SMT_ENV)? {
+        let flag = |raw: &str| match raw.trim() {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err("expected 0 or 1".to_string()),
+        };
+        if let Some(on) = parse_env_with(SMT_ENV, flag)? {
             cfg.smt = on;
         }
-        if let Some(n) = parse::<usize>(SHARDS_ENV)? {
-            if n == 0 {
-                return Err(format!(
-                    "{SHARDS_ENV}=\"0\" is invalid: a campaign needs at least one shard"
-                ));
-            }
-            cfg.shards = n;
-        }
-        if let Some(i) = parse::<usize>(SHARD_ENV)? {
-            cfg.shard = i;
-        }
-        if cfg.shard >= cfg.shards {
-            return Err(format!(
-                "{SHARD_ENV}={} is invalid: the shard index must be below {SHARDS_ENV}={}",
-                cfg.shard, cfg.shards
-            ));
-        }
-        match std::env::var(SWEEP_ENV) {
-            Ok(raw) => {
-                cfg.sweep = SweepSpec::parse(&raw)
-                    .map_err(|e| format!("{SWEEP_ENV}={raw:?} is invalid: {e}"))?;
-            }
-            Err(std::env::VarError::NotPresent) => {}
-            Err(e) => return Err(format!("{SWEEP_ENV} is unreadable: {e}")),
+        if let Some(sweep) = parse_env_with(SWEEP_ENV, SweepSpec::parse)? {
+            cfg.sweep = sweep;
         }
         Ok(cfg)
+    }
+
+    /// `self` with the host-local performance knobs read from the
+    /// environment: [`THREADS_ENV`], [`SNAPSHOT_STRIDE_ENV`] and
+    /// [`SNAPSHOT_MAX_ENV`]. None of them can change the record stream,
+    /// so a distributed worker applies them over the campaign its job
+    /// describes and reads nothing else.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_from_env`](Self::try_from_env): a malformed variable of
+    /// the three, or any [`RETIRED_ENV`] variable that is set.
+    pub fn with_local_env(mut self) -> Result<Self, String> {
+        if let Some((name, instead)) = RETIRED_ENV
+            .iter()
+            .find(|(name, _)| std::env::var_os(name).is_some())
+        {
+            return Err(format!("{name} is no longer read: {instead}"));
+        }
+        if let Some(t) = parse_env(THREADS_ENV)? {
+            self.threads = t;
+        }
+        if let Some(s) = parse_env(SNAPSHOT_STRIDE_ENV)? {
+            self.snapshot_stride = s;
+        }
+        if let Some(m) = parse_env(SNAPSHOT_MAX_ENV)? {
+            self.snapshot_max = m;
+        }
+        Ok(self)
     }
 
     /// [`CampaignConfig::try_from_env`], panicking with the offending
@@ -1710,22 +1735,14 @@ mod tests {
             4096
         );
         assert!(run(SNAPSHOT_MAX_ENV, "-3").is_err());
-        assert!(run(SHARDS_ENV, "four").is_err(), "shard count must parse");
-        assert!(run(SHARDS_ENV, "0").is_err(), "zero shards is meaningless");
-        assert_eq!(run(SHARDS_ENV, "4").expect("4 parses").shards, 4);
-        assert!(
-            run(SHARD_ENV, "1").is_err(),
-            "a shard index needs a shard count above it"
-        );
-        std::env::set_var(SHARDS_ENV, "4");
-        assert!(run(SHARD_ENV, "one").is_err());
-        assert!(
-            run(SHARD_ENV, "4").is_err(),
-            "shard index must be below the shard count"
-        );
-        let sharded = run(SHARD_ENV, "3").expect("3 of 4 parses");
-        assert_eq!((sharded.shard, sharded.shards), (3, 4));
-        std::env::remove_var(SHARDS_ENV);
+        for (name, instead) in RETIRED_ENV {
+            let err = run(name, "1").expect_err("a retired variable must not be ignored");
+            assert!(err.contains(name) && err.contains(instead), "{err}");
+        }
+        let err = run("IDLD_SHARDS", "4").expect_err("no silent unsharded run");
+        assert!(err.contains("--shards N"), "{err}");
+        let err = run("IDLD_SNAPSHOT", "0").expect_err("no silent forked run");
+        assert!(err.contains("IDLD_SNAPSHOT_MAX=0"), "{err}");
         assert!(
             run(SMT_ENV, "true").is_err(),
             "the SMT axis flag accepts only 0/1"
@@ -1740,6 +1757,20 @@ mod tests {
         assert!(run(SWEEP_ENV, "").is_err(), "an empty sweep is a typo");
         let swept = run(SWEEP_ENV, "grid").expect("preset parses");
         assert_eq!(swept.sweep.points.len(), 3);
+
+        // A distributed worker reads only the local knobs: the job fixes
+        // the rest, so a malformed seed on its host must not fail it.
+        let local = |k: &str, v: &str| {
+            std::env::set_var(k, v);
+            let r = CampaignConfig::default().with_local_env();
+            std::env::remove_var(k);
+            r
+        };
+        assert!(local(SEED_ENV, "0x1d1d").is_ok());
+        assert!(local(SWEEP_ENV, "w4c4").is_ok());
+        assert!(local(THREADS_ENV, "many").is_err());
+        assert_eq!(local(SNAPSHOT_MAX_ENV, "0").expect("cold").snapshot_max, 0);
+        assert!(local("IDLD_SHARDS", "4").is_err());
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! A [`ShardLedger`] is the coordinator's single source of truth about a
 //! campaign's shards: which are still **pending**, which are **in flight**
 //! on a worker (and when that worker last proved it was alive), and which
-//! are **done** (their artifact persisted to
-//! `IDLD_SHARD_DIR/shard-<i>.part`). It is a pure state machine — no I/O
-//! except [`ShardLedger::resume_from_dir`], no clocks except the `now`
-//! instants its callers pass in — so every transition is unit-testable
-//! and shared verbatim between the local multi-process driver and the
-//! TCP service in `idld-net`.
+//! are **done** (their artifact persisted to `<dir>/shard-<i>.part`). It
+//! is a pure state machine — no I/O except
+//! [`ShardLedger::resume_from_dir`], no clocks except the `now` instants
+//! its callers pass in — so every transition is unit-testable apart from
+//! the TCP coordinator in `idld-net` that drives it.
 //!
 //! Fault-tolerance rules:
 //!
@@ -95,16 +94,6 @@ impl ShardLedger {
         }
     }
 
-    /// Total shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Completed shards so far.
-    pub fn done_count(&self) -> usize {
-        self.done.iter().filter(|&&d| d).count()
-    }
-
     /// Whether every shard has a persisted artifact.
     pub fn all_done(&self) -> bool {
         self.done.iter().all(|&d| d)
@@ -113,12 +102,6 @@ impl ShardLedger {
     /// Whether `shard` already has a persisted artifact.
     pub fn is_done(&self, shard: usize) -> bool {
         self.done[shard]
-    }
-
-    /// The shards still missing an artifact (pending or in flight), in
-    /// index order.
-    pub fn missing(&self) -> Vec<usize> {
-        (0..self.shards).filter(|&i| !self.done[i]).collect()
     }
 
     /// The service metrics accumulated so far.
@@ -133,7 +116,8 @@ impl ShardLedger {
     }
 
     /// Marks every shard whose `shard-<i>.part` under `dir` already
-    /// decodes cleanly — with matching index and shard count — as done,
+    /// decodes cleanly — digest intact, with matching index and shard
+    /// count — as done,
     /// and returns how many were resumed. A missing, truncated, or
     /// mismatched file leaves its shard pending (it will simply be
     /// re-dispatched); a decodable file from a *different* shard count is
@@ -305,7 +289,7 @@ mod tests {
         assert_eq!(l.release(9), Vec::<usize>::new(), "unknown worker");
         assert_eq!(l.metrics().counter("workers_lost"), 1);
         assert_eq!(l.metrics().counter("shards_retried"), 1);
-        assert_eq!(l.missing(), vec![0, 1, 2]);
+        assert!((0..3).all(|i| !l.is_done(i)));
     }
 
     #[test]
@@ -317,30 +301,51 @@ mod tests {
             .filter(|w| w.name == "crc32")
             .collect();
         let cfg = CampaignConfig {
-            runs_per_cell: 1,
-            shards: 3,
+            runs_per_cell: 4,
+            shards: 4,
             ..CampaignConfig::default()
         };
         // Shard 0: a clean artifact. Shard 1: truncated. Shard 2: absent.
+        // Shard 3: complete but one record byte altered.
         let res = Campaign::new(CampaignConfig {
             shard: 0,
             ..cfg.clone()
         })
         .run(&suite)
         .expect("shard 0 runs");
-        let art = encode_shard(&res, 0, 3);
+        let art = encode_shard(&res, 0, 4);
         std::fs::write(part_path(&dir, 0), &art).expect("write part 0");
         std::fs::write(part_path(&dir, 1), &art[..art.len() / 2]).expect("write part 1");
+        let res3 = Campaign::new(CampaignConfig { shard: 3, ..cfg })
+            .run(&suite)
+            .expect("shard 3 runs");
+        assert!(!res3.records.is_empty(), "shard 3 owns jobs");
+        // Flip the low bit of the first record's leading job-index digit:
+        // still a digit, so only the digest can tell.
+        let mut art3 = encode_shard(&res3, 3, 4).into_bytes();
+        let row = art3
+            .windows(9)
+            .position(|w| w == b"\nrecords ")
+            .and_then(|at| {
+                art3[at + 1..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map(|n| at + n + 2)
+            })
+            .expect("a record row");
+        art3[row] ^= 1;
+        std::fs::write(part_path(&dir, 3), art3).expect("write part 3");
 
-        let mut l = ShardLedger::new(3);
+        let mut l = ShardLedger::new(4);
         assert_eq!(l.resume_from_dir(&dir), 1);
-        assert_eq!(l.missing(), vec![1, 2]);
+        let done: Vec<bool> = (0..4).map(|i| l.is_done(i)).collect();
+        assert_eq!(done, [true, false, false, false]);
         assert_eq!(l.metrics().counter("shards_resumed"), 1);
         // A shard-count mismatch is never trusted: the same artifact under
-        // a 4-shard ledger stays pending.
-        let mut wrong = ShardLedger::new(4);
+        // a 5-shard ledger stays pending.
+        let mut wrong = ShardLedger::new(5);
         assert_eq!(wrong.resume_from_dir(&dir), 0);
-        assert_eq!(wrong.missing(), vec![0, 1, 2, 3]);
+        assert!((0..5).all(|i| !wrong.is_done(i)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,6 +16,11 @@
 //! - **timings** sum per `(config, bench, model)` cell;
 //! - **snapshot stats** sum field-wise.
 //!
+//! Every artifact ends with a `digest <16 hex>` line: the FNV-1a-64 of
+//! every byte before it. [`decode_shard`] checks it before parsing
+//! anything, so a `.part` file with a single flipped bit is rejected on
+//! resume, on upload and at merge instead of reaching the merged CSV.
+//!
 //! The merged `records.csv` and `metrics.csv`/`.json` are **byte-identical
 //! to a single-process run** of the same campaign at any shard count; the
 //! merged `timings.csv` is byte-identical with wall-clock columns zeroed
@@ -27,7 +32,7 @@ use crate::campaign::{CampaignResult, CellTiming, SnapshotStats};
 use crate::export;
 use crate::metrics::{metrics_csv, metrics_json, CampaignMetrics, CellMetrics};
 use idld_bugs::BugModel;
-use idld_obs::MetricsRegistry;
+use idld_obs::{Fnv64, MetricsRegistry};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -36,7 +41,7 @@ use std::time::Duration;
 /// because the `idld-net` HELLO handshake carries it: a coordinator and a
 /// worker built against different shard formats must refuse to talk at
 /// connection time, not fail at merge time.
-pub const SHARD_MAGIC: &str = "idld-shard v4";
+pub const SHARD_MAGIC: &str = "idld-shard v5";
 
 use SHARD_MAGIC as MAGIC;
 
@@ -86,7 +91,44 @@ pub fn encode_shard(res: &CampaignResult, shard: usize, shards: usize) -> String
         s.push_str(&c.registry.to_kv());
         let _ = writeln!(s, "endcell");
     }
+    let _ = writeln!(s, "{DIGEST_TAG}{:016x}", fnv(&s));
     s
+}
+
+/// Prefix of an artifact's last line, which carries [`fnv`] of every
+/// byte before it.
+const DIGEST_TAG: &str = "digest ";
+
+/// FNV-1a-64 of `text`'s bytes.
+fn fnv(text: &str) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_bytes(text.as_bytes());
+    h.finish()
+}
+
+/// Splits off and checks the trailing digest line, returning the body it
+/// covers.
+fn verified_body(s: &str) -> Result<&str, String> {
+    let cut = s
+        .strip_suffix('\n')
+        .and_then(|t| t.rfind('\n'))
+        .map_or(0, |i| i + 1);
+    let (body, last) = s.split_at(cut);
+    // Lowercase only: `from_str_radix` also takes `A-F`, so a flipped
+    // case bit in the digest would otherwise parse to the same value.
+    let want = last
+        .strip_prefix(DIGEST_TAG)
+        .and_then(|r| r.strip_suffix('\n'))
+        .filter(|h| h.len() == 16 && h.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')))
+        .and_then(|h| u64::from_str_radix(h, 16).ok())
+        .ok_or("artifact does not end with a digest line")?;
+    let got = fnv(body);
+    if got != want {
+        return Err(format!(
+            "artifact digest mismatch: the body hashes to {got:016x}, the digest line says {want:016x}"
+        ));
+    }
+    Ok(body)
 }
 
 /// The bug model whose exported label (spaces underscored) is `label`.
@@ -101,10 +143,15 @@ fn model_from_label(label: &str) -> Result<BugModel, String> {
 ///
 /// # Errors
 ///
-/// Any structural deviation is an error naming the offending line — a
-/// truncated or mis-versioned artifact must never merge silently.
+/// A digest mismatch, or any structural deviation, is an error naming
+/// the offending line — a corrupted, truncated or mis-versioned artifact
+/// must never merge silently.
 pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
-    let mut lines = s.lines();
+    let body = verified_body(s).map_err(|e| match s.lines().next() {
+        Some(tag) if tag != MAGIC => format!("artifact does not start with {MAGIC:?}"),
+        _ => e,
+    })?;
+    let mut lines = body.lines();
     let mut expect = |what: &str| {
         lines
             .next()
@@ -549,19 +596,74 @@ mod tests {
         );
     }
 
+    /// `body` followed by a digest line that matches it — what a hostile
+    /// peer that knows the format can always produce.
+    fn seal(body: &str) -> String {
+        format!("{body}{DIGEST_TAG}{:016x}\n", fnv(body))
+    }
+
     #[test]
     fn decode_rejects_malformed_artifacts() {
         for bad in [
             "",
             "idld-shard v0\n",
-            "idld-shard v3\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 0 0 0 0\nrecords 0\n",
-            "idld-shard v4\nshard 0\n",
-            "idld-shard v4\nshard 0 2\nwall_us x\n",
-            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3\n",
-            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 6 7 8 9\n",
-            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 1\n",
+            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 0\ntimings 0\ncells 0\n",
+            "idld-shard v5\nshard 0\n",
+            "idld-shard v5\nshard 0 2\nwall_us x\n",
+            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3\n",
+            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 6 7 8 9\n",
+            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 1\n",
         ] {
             assert!(decode_shard(bad).is_err(), "must reject {bad:?}");
+            assert!(
+                decode_shard(&seal(bad)).is_err(),
+                "must reject sealed {bad:?}"
+            );
+        }
+        let empty =
+            "idld-shard v5\nshard 0 1\nwall_us 1\nstats 0 0 0 0\nrecords 0\ntimings 0\ncells 0\n";
+        assert!(decode_shard(&seal(empty)).is_ok(), "a sealed empty shard");
+        let err = decode_shard(empty).expect_err("an unsealed artifact");
+        assert!(err.contains("digest"), "{err}");
+        let stale = decode_shard(&seal(&empty.replace("v5", "v4"))).expect_err("old format");
+        assert!(stale.contains(MAGIC), "{stale}");
+    }
+
+    /// Seeded: one flipped bit anywhere in a valid artifact — header,
+    /// record rows, metric cells or the digest line itself — is an error,
+    /// never a quietly different record.
+    #[test]
+    fn any_single_bit_flip_is_rejected() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let base = CampaignConfig {
+            runs_per_cell: 2,
+            seed: 5,
+            ..Default::default()
+        };
+        let good = encode_shard(&run_with(&base, 0, 2), 0, 2);
+        assert!(decode_shard(&good).is_ok());
+        let mut rng = SmallRng::seed_from_u64(0x5ead);
+        for _ in 0..256 {
+            let pos = rng.gen_range(0..good.len());
+            let bit = rng.gen_range(0..8u32);
+            let mut bytes = good.clone().into_bytes();
+            bytes[pos] ^= 1 << bit;
+            // Bytes that are no longer UTF-8 fail `read_to_string` before
+            // the decoder sees them; the rest must fail the decoder.
+            if let Ok(text) = String::from_utf8(bytes) {
+                assert!(
+                    decode_shard(&text).is_err(),
+                    "bit {bit} of byte {pos}/{} flipped and still decoded",
+                    good.len()
+                );
+                // Resealed, as a peer that knows the format could forge,
+                // the flip reaches the parser: it may decode, but must
+                // not panic.
+                if let Some((body, _)) = text.rsplit_once(DIGEST_TAG) {
+                    let _ = decode_shard(&seal(body));
+                }
+            }
         }
     }
 
@@ -585,37 +687,39 @@ mod tests {
                 .lines()
                 .find(|l| l.starts_with(&format!("{tag} ")))
                 .expect("section present");
-            for forged in [huge.as_str(), "1000000000"] {
+            for forged in [huge.as_str(), "4294967295", "1000000000"] {
                 let text = good.replacen(line, &format!("{tag} {forged}"), 1);
                 assert!(
                     decode_shard(&text).is_err(),
                     "{tag} {forged} must be rejected"
                 );
+                // Resealed, the forgery passes the digest and must fail
+                // in the parser, as truncation.
+                let body = text.rsplit_once(DIGEST_TAG).expect("digest line").0;
+                assert!(
+                    decode_shard(&seal(body)).is_err(),
+                    "resealed {tag} {forged} must be rejected"
+                );
             }
         }
         // A forged shard count must not reach an allocation in the merge.
-        let text = good.replacen("shard 0 1", &format!("shard 0 {huge}"), 1);
+        let body = good.rsplit_once(DIGEST_TAG).expect("digest line").0;
+        let text = seal(&body.replacen("shard 0 1", &format!("shard 0 {huge}"), 1));
         let forged = decode_shard(&text).expect("the header itself is well formed");
         assert!(
             merge_shards(&[forged]).is_err(),
             "shards missing from the set"
         );
 
-        // Every proper prefix is a truncated artifact. Cut at each line
-        // boundary and inside lines; prefixes that end exactly at a
-        // section boundary still lack the sections after it.
-        let cuts = good
-            .match_indices('\n')
-            .map(|(i, _)| i)
-            .chain((0..good.len()).step_by(7));
-        for cut in cuts {
-            if cut < good.len() - 1 {
-                assert!(
-                    decode_shard(&good[..cut]).is_err(),
-                    "prefix of {cut}/{} bytes must be rejected",
-                    good.len()
-                );
-            }
+        // Every proper prefix is a truncated artifact, including those
+        // that end exactly at a section boundary: they still lack the
+        // sections after it.
+        for cut in (0..good.len()).filter(|&c| good.is_char_boundary(c)) {
+            assert!(
+                decode_shard(&good[..cut]).is_err(),
+                "prefix of {cut}/{} bytes must be rejected",
+                good.len()
+            );
         }
         // A duplicated metric line inside a cell body is garbage too.
         let cell_line = good
@@ -623,7 +727,19 @@ mod tests {
             .skip_while(|l| !l.starts_with("cell "))
             .nth(1)
             .expect("cell body");
-        let doubled = good.replacen(cell_line, &format!("{cell_line}\n{cell_line}"), 1);
-        assert!(decode_shard(&doubled).is_err(), "duplicate metric line");
+        let doubled = body.replacen(cell_line, &format!("{cell_line}\n{cell_line}"), 1);
+        assert!(
+            decode_shard(&seal(&doubled)).is_err(),
+            "duplicate metric line"
+        );
+        // Resealed prefixes reach the parser and still fail as truncation.
+        for cut in body.match_indices('\n').map(|(i, _)| i + 1) {
+            if cut < body.len() {
+                assert!(
+                    decode_shard(&seal(&body[..cut])).is_err(),
+                    "sealed prefix {cut}"
+                );
+            }
+        }
     }
 }

@@ -6,6 +6,11 @@
 //! is the ledger's (see `idld_campaign::ledger`); this module adds the
 //! transport-level triggers:
 //!
+//! - a NEXT with nothing to hand out blocks its handler on a condition
+//!   variable beside the ledger, woken by every completion and release
+//!   and re-checked once per heartbeat (to catch stale claims), so the
+//!   reply is always JOB or DONE and an idle worker hears DONE as soon as
+//!   the last artifact is persisted;
 //! - a connection error or EOF **releases** the worker's in-flight shards
 //!   back to the head of the queue;
 //! - a worker silent for [`STALE_BEATS`](crate::env::STALE_BEATS)
@@ -30,7 +35,7 @@ use idld_obs::MetricsRegistry;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Coordinator parameters.
@@ -67,6 +72,9 @@ pub struct ServeOutcome {
 
 struct Shared {
     ledger: Mutex<ShardLedger>,
+    /// Signalled whenever a shard completes or is released — the events
+    /// that can turn a waiting NEXT into a JOB or a DONE.
+    changed: Condvar,
     dir: PathBuf,
     base: JobSpec,
     heartbeat_ms: u64,
@@ -79,7 +87,46 @@ impl Shared {
     fn stale_after(&self) -> Duration {
         Duration::from_millis(self.heartbeat_ms * STALE_BEATS as u64)
     }
+
+    fn ledger(&self) -> MutexGuard<'_, ShardLedger> {
+        self.ledger.lock().expect("ledger lock")
+    }
+
+    /// The reply to `worker`'s NEXT: a shard to run, or DONE. While every
+    /// unfinished shard is in flight elsewhere this long-polls, waking on
+    /// each completion or release and once per heartbeat so a claim that
+    /// has gone stale is still reassigned.
+    fn next_for(&self, worker: u64) -> Message {
+        let beat = Duration::from_millis(self.heartbeat_ms);
+        let mut ledger = self.ledger();
+        loop {
+            match ledger.claim(worker, Instant::now(), self.stale_after()) {
+                Claim::Assign(shard) => {
+                    if self.verbose {
+                        eprintln!("netd: shard {shard} -> worker {worker}");
+                    }
+                    let mut spec = self.base.clone();
+                    spec.shard = shard;
+                    return Message::Job(spec);
+                }
+                Claim::Finished => return Message::Done,
+                Claim::Wait => {
+                    ledger = self
+                        .changed
+                        .wait_timeout(ledger, beat)
+                        .expect("ledger lock")
+                        .0;
+                }
+            }
+        }
+    }
 }
+
+/// How often [`serve`] polls its nonblocking listener for a new worker
+/// and for the last artifact, and then its handlers for their exit. A
+/// loopback campaign lasts well under a second, so a longer interval
+/// shows up in its wall-clock; a 2 ms poll costs next to no CPU.
+const POLL: Duration = Duration::from_millis(2);
 
 /// Runs a campaign's dispatch loop on `listener` until every shard has a
 /// persisted artifact, then returns. Workers may connect, die, and
@@ -116,6 +163,7 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
 
     let shared = Arc::new(Shared {
         ledger: Mutex::new(ledger),
+        changed: Condvar::new(),
         dir: opts.dir,
         base: opts.base,
         heartbeat_ms: opts.heartbeat_ms,
@@ -127,7 +175,7 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("listener nonblocking: {e}"))?;
-    while !shared.ledger.lock().expect("ledger lock").all_done() {
+    while !shared.ledger().all_done() {
         match listener.accept() {
             Ok((stream, peer)) => {
                 let worker = shared.next_worker.fetch_add(1, Ordering::Relaxed);
@@ -142,7 +190,7 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(POLL);
             }
             Err(e) => return Err(format!("accept: {e}")),
         }
@@ -155,10 +203,10 @@ pub fn serve(listener: TcpListener, opts: ServeOpts) -> Result<ServeOutcome, Str
     let deadline =
         Instant::now() + Duration::from_millis(shared.heartbeat_ms * 4).max(Duration::from_secs(2));
     while shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(POLL);
     }
 
-    let ledger = shared.ledger.lock().expect("ledger lock");
+    let ledger = shared.ledger();
     Ok(ServeOutcome {
         resumed,
         metrics: ledger.metrics().clone(),
@@ -218,7 +266,7 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
         }
     }
     {
-        let mut ledger = sh.ledger.lock().expect("ledger lock");
+        let mut ledger = sh.ledger();
         ledger.metrics_mut().incr("workers_connected");
     }
     if !send(
@@ -248,31 +296,12 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
         };
         match msg {
             Message::Next => {
-                let claim = sh.ledger.lock().expect("ledger lock").claim(
-                    worker,
-                    Instant::now(),
-                    sh.stale_after(),
-                );
-                let reply = match claim {
-                    Claim::Assign(shard) => {
-                        if sh.verbose {
-                            eprintln!("netd: shard {shard} -> worker {worker}");
-                        }
-                        let mut spec = sh.base.clone();
-                        spec.shard = shard;
-                        Message::Job(spec)
-                    }
-                    Claim::Wait => Message::Wait {
-                        ms: sh.heartbeat_ms,
-                    },
-                    Claim::Finished => Message::Done,
-                };
-                if !send(&mut stream, &reply) {
+                if !send(&mut stream, &sh.next_for(worker)) {
                     break;
                 }
             }
             Message::Beat => {
-                let mut ledger = sh.ledger.lock().expect("ledger lock");
+                let mut ledger = sh.ledger();
                 ledger.beat(worker, Instant::now());
                 ledger.metrics_mut().incr("heartbeats");
             }
@@ -308,8 +337,9 @@ fn handle(sh: &Shared, mut stream: TcpStream, worker: u64) {
         }
     }
 
-    let released = sh.ledger.lock().expect("ledger lock").release(worker);
+    let released = sh.ledger().release(worker);
     if !released.is_empty() {
+        sh.changed.notify_all();
         eprintln!("netd: worker {worker} lost; shard(s) {released:?} requeued");
     }
 }
@@ -336,7 +366,7 @@ fn accept_artifact(sh: &Shared, worker: u64, shard: usize, body: &str) -> Messag
             ),
         };
     }
-    let mut ledger = sh.ledger.lock().expect("ledger lock");
+    let mut ledger = sh.ledger();
     if ledger.is_done(shard) {
         ledger.complete(shard, art.wall_us); // counts the duplicate
         if sh.verbose {
@@ -351,6 +381,7 @@ fn accept_artifact(sh: &Shared, worker: u64, shard: usize, body: &str) -> Messag
         };
     }
     ledger.complete(shard, art.wall_us);
+    sh.changed.notify_all();
     if sh.verbose {
         eprintln!(
             "netd: shard {shard} complete ({} records, worker {worker}) -> {}",

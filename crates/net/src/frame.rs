@@ -10,7 +10,8 @@
 //!   ([`FrameError::Truncated`]);
 //! - **oversized**: the length prefix exceeds [`MAX_FRAME`]
 //!   ([`FrameError::Oversized`]) — a corrupt or hostile peer cannot make
-//!   the receiver allocate unbounded memory.
+//!   the receiver allocate unbounded memory. Below the cap the payload
+//!   buffer grows only with the bytes actually received.
 
 use std::io::{self, Read, Write};
 
@@ -89,15 +90,14 @@ pub fn read_frame(r: &mut impl Read) -> Result<String, FrameError> {
     if len > MAX_FRAME {
         return Err(FrameError::Oversized(len));
     }
-    let mut buf = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
+    // Grow with the bytes that actually arrive: a forged length below the
+    // cap followed by a short stream costs what was sent, not `len`.
+    let mut buf = Vec::new();
+    r.take(len as u64)
+        .read_to_end(&mut buf)
+        .map_err(FrameError::Io)?;
+    if buf.len() < len {
+        return Err(FrameError::Truncated);
     }
     String::from_utf8(buf).map_err(|_| FrameError::NotText)
 }
@@ -152,6 +152,11 @@ mod tests {
             matches!(err, FrameError::Oversized(n) if n == MAX_FRAME + 1),
             "{err}"
         );
+        let err = read_frame(&mut Cursor::new(&u32::MAX.to_be_bytes())).expect_err("u32::MAX");
+        assert!(matches!(err, FrameError::Oversized(_)), "{err}");
+        // At the cap, a short stream is truncation, not an allocation.
+        let err = read_frame(&mut Cursor::new(&(MAX_FRAME as u32).to_be_bytes())).expect_err("cap");
+        assert!(matches!(err, FrameError::Truncated), "{err}");
 
         let mut bad = Vec::from(4u32.to_be_bytes());
         bad.extend_from_slice(&[0xff, 0xfe, 0x01, 0x02]);

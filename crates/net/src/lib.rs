@@ -1,16 +1,18 @@
 //! # idld-net — the distributed fault-injection service
 //!
-//! Promotes `campaignd` from "re-exec self N times on one host" to a
-//! coordinator/worker service over TCP. The deterministic foundation is
-//! the `idld-shard v4` artifact format and its byte-identical merge
+//! The one way a campaign is split across processes. `campaignd
+//! --shards N` runs this service on loopback with `N` local worker
+//! processes; `--listen`/`--connect` run the same coordinator and worker
+//! across hosts. The deterministic foundation is the `idld-shard v5`
+//! artifact format and its byte-identical merge
 //! (`idld_campaign::shard`); this crate adds the networking and
 //! fault-tolerance layers on top:
 //!
 //! * [`frame`] — length-prefixed frames with truncation/oversize
 //!   rejection;
-//! * [`proto`] — the versioned text protocol (HELLO handshake carrying
-//!   the shard-format magic, JOB assignment, PROGRESS streaming, BEAT
-//!   heartbeats, ARTIFACT upload);
+//! * [`proto`] — the versioned text protocol (`idld-net v3`: HELLO
+//!   handshake carrying the shard-format magic, long-polled NEXT, JOB
+//!   assignment, PROGRESS streaming, BEAT heartbeats, ARTIFACT upload);
 //! * [`coord`] — the coordinator: dispatches shards from a
 //!   [`ShardLedger`](idld_campaign::ShardLedger), reassigns lost or
 //!   stale shards, persists every completed artifact to
@@ -21,12 +23,11 @@
 //! * [`env`] — strict parsing of the `IDLD_LISTEN` / `IDLD_CONNECT` /
 //!   `IDLD_HEARTBEAT_MS` / `IDLD_RETRY_MAX` knobs.
 //!
-//! The proof obligation carries over from the multi-process driver:
-//! merged `records.csv`/`metrics.csv` are **byte-identical to a
-//! single-process run** at any worker count, under any schedule of
-//! worker kills and reassignments — first complete artifact wins,
-//! duplicates are rejected, and the merge's own duplicate-job check is
-//! the final backstop.
+//! The proof obligation: merged `records.csv`/`metrics.csv` are
+//! **byte-identical to a single-process run** at any worker count, under
+//! any schedule of worker kills and reassignments — first complete
+//! artifact wins, duplicates are rejected, and the merge's own
+//! duplicate-job check is the final backstop.
 
 pub mod coord;
 pub mod env;

@@ -15,11 +15,16 @@
 //!
 //! ```text
 //! W→C  HELLO proto+magic        C→W  WELCOME shards | ERR
-//! W→C  NEXT                     C→W  JOB spec | WAIT ms | DONE
+//! W→C  NEXT                     C→W  JOB spec | DONE  (long poll)
 //! W→C  BEAT                     (no reply; refreshes liveness)
 //! W→C  PROGRESS shard c t       (no reply; refreshes liveness)
 //! W→C  ART shard + body         C→W  OK shard | DUP shard | ERR
 //! ```
+//!
+//! NEXT is a long poll: while every remaining shard is in flight on
+//! another worker, the coordinator holds the reply until one completes
+//! or is released (or goes stale), so an idle worker learns `DONE` the
+//! moment the last artifact lands instead of polling on a timer.
 //!
 //! Decoding is strict: any unknown tag, missing field, or malformed
 //! number is an error naming the offending line, mirroring the shard
@@ -29,15 +34,16 @@ use std::fmt::Write as _;
 
 /// Protocol grammar version, exchanged in HELLO/WELCOME. Bumped on any
 /// incompatible message change.
-pub const PROTO_VERSION: &str = "idld-net v2";
+pub const PROTO_VERSION: &str = "idld-net v3";
 
 /// The campaign parameters a JOB assignment carries — everything a
 /// remote worker needs to run its shard *identically* to an in-process
 /// run, so workers never depend on having the coordinator's environment.
 ///
 /// `sweep` is the raw `IDLD_SWEEP` specification (empty = no sweep),
-/// `workloads` the raw comma-separated filter (empty = full suite), and
-/// `scale` the suite scale factor. Neither string may contain newlines.
+/// `workloads` the raw comma-separated filter (empty = full suite),
+/// `scale` the suite scale factor, and `smt` the SMT campaign axis.
+/// Neither string may contain newlines.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobSpec {
     /// The shard this assignment covers.
@@ -54,6 +60,8 @@ pub struct JobSpec {
     pub workloads: String,
     /// Workload suite scale factor.
     pub scale: u32,
+    /// Append the SMT injection section (`IDLD_SMT=1`).
+    pub smt: bool,
 }
 
 impl JobSpec {
@@ -66,6 +74,7 @@ impl JobSpec {
         let _ = writeln!(s, "sweep {}", self.sweep);
         let _ = writeln!(s, "workloads {}", self.workloads);
         let _ = writeln!(s, "scale {}", self.scale);
+        let _ = writeln!(s, "smt {}", u8::from(self.smt));
     }
 
     /// Rejects field values that would corrupt the line-oriented encoding.
@@ -107,8 +116,6 @@ pub enum Message {
     Next,
     /// Coordinator assigns a shard.
     Job(JobSpec),
-    /// Nothing to hand out yet; ask again in `ms` milliseconds.
-    Wait { ms: u64 },
     /// Every shard is complete; the worker may disconnect.
     Done,
     /// Worker liveness heartbeat (no reply).
@@ -148,10 +155,6 @@ impl Message {
             Message::Job(spec) => {
                 let _ = writeln!(s, "JOB");
                 spec.encode_fields(&mut s);
-            }
-            Message::Wait { ms } => {
-                let _ = writeln!(s, "WAIT");
-                let _ = writeln!(s, "ms {ms}");
             }
             Message::Done => s.push_str("DONE\n"),
             Message::Beat => s.push_str("BEAT\n"),
@@ -230,10 +233,12 @@ impl Message {
                 sweep: field("sweep")?,
                 workloads: field("workloads")?,
                 scale: num("scale", &field("scale")?)?,
+                smt: match field("smt")?.as_str() {
+                    "0" => false,
+                    "1" => true,
+                    v => return Err(format!("field smt {v:?}: expected 0 or 1")),
+                },
             }),
-            "WAIT" => Message::Wait {
-                ms: num("ms", &field("ms")?)?,
-            },
             "DONE" => Message::Done,
             "BEAT" => Message::Beat,
             "PROGRESS" => Message::Progress {
@@ -301,6 +306,7 @@ mod tests {
             sweep: "grid".to_string(),
             workloads: "crc32,basicmath".to_string(),
             scale: 1,
+            smt: true,
         }
     }
 
@@ -309,13 +315,13 @@ mod tests {
         let mut empty_axes = spec();
         empty_axes.sweep.clear();
         empty_axes.workloads.clear();
+        empty_axes.smt = false;
         for msg in [
             hello(),
             Message::Welcome { shards: 4 },
             Message::Next,
             Message::Job(spec()),
             Message::Job(empty_axes),
-            Message::Wait { ms: 250 },
             Message::Done,
             Message::Beat,
             Message::Progress {
@@ -325,7 +331,7 @@ mod tests {
             },
             Message::Artifact {
                 shard: 1,
-                body: "idld-shard v4\nshard 1 4\nmulti\nline body\n".to_string(),
+                body: "idld-shard v5\nshard 1 4\nmulti\nline body\n".to_string(),
             },
             Message::Artifact {
                 shard: 0,
@@ -368,13 +374,18 @@ mod tests {
             "",
             "GREETINGS\n",
             "HELLO\n",
-            "HELLO\nproto idld-net v2\n",
+            "HELLO\nproto idld-net v3\n",
             "HELLO\nmagic first\nproto second\n",
             "WELCOME\nshards four\n",
             "JOB\nshard 1\n",
             "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed many\n",
             "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed 4\nsnapshot 1\n",
-            "WAIT\n",
+            "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed 4\nsweep \nworkloads \nscale 1\n",
+            "JOB\nshard 1\nshards 2\nruns_per_cell 3\nseed 4\nsweep \nworkloads \nscale 1\nsmt 2\n",
+            "WAIT\nms 250\n",
+            "WELCOME\nshards 18446744073709551616\n",
+            "PROGRESS\nshard 0\ncompleted -1\ntotal 2\n",
+            "OK\nshard 4294967296999999999999\n",
             "PROGRESS\nshard 0\ncompleted 1\n",
             "ART\nshard 0\n",
             "ART\nshard 0\nbody\nx\n",

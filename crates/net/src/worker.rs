@@ -15,13 +15,15 @@
 //!   coordinator restart never costs a computed shard;
 //! - a dedicated heartbeat thread sends BEAT every
 //!   [`WorkerOpts::heartbeat_ms`] while the runner computes, sharing the
-//!   write side behind a mutex so frames never interleave.
+//!   write side behind a mutex so frames never interleave. It sleeps on
+//!   a channel rather than a timer, so closing the connection stops it
+//!   at once instead of one interval later.
 
 use crate::env::{DEFAULT_HEARTBEAT_MS, DEFAULT_RETRY_MAX};
 use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{hello, JobSpec, Message};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -93,7 +95,8 @@ fn connect_with_backoff(addr: &str, retry_max: u32) -> Result<TcpStream, String>
 struct Conn {
     reader: TcpStream,
     writer: Arc<WriteHandle>,
-    beat_stop: Arc<AtomicBool>,
+    /// Dropping the sender wakes and stops the heartbeat thread.
+    beat_stop: Option<mpsc::Sender<()>>,
     beat: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -110,7 +113,7 @@ impl Conn {
         let mut conn = Conn {
             reader,
             writer,
-            beat_stop: Arc::new(AtomicBool::new(false)),
+            beat_stop: None,
             beat: None,
         };
         conn.writer.send(&hello())?;
@@ -121,12 +124,12 @@ impl Conn {
         };
         // Heartbeats start only after a successful handshake.
         let hb_writer = Arc::clone(&conn.writer);
-        let hb_stop = Arc::clone(&conn.beat_stop);
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let interval = Duration::from_millis(opts.heartbeat_ms);
+        conn.beat_stop = Some(stop_tx);
         conn.beat = Some(std::thread::spawn(move || {
-            while !hb_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if hb_stop.load(Ordering::Relaxed) || hb_writer.send(&Message::Beat).is_err() {
+            while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(interval) {
+                if hb_writer.send(&Message::Beat).is_err() {
                     break;
                 }
             }
@@ -145,9 +148,9 @@ impl Conn {
 
 impl Drop for Conn {
     fn drop(&mut self) {
-        self.beat_stop.store(true, Ordering::Relaxed);
-        // Unblock the writer quickly; the beat thread exits on its next
-        // tick (or on the write error the shutdown provokes).
+        // Disconnecting the channel wakes the beat thread immediately;
+        // the shutdown unblocks a BEAT write stuck on a dead peer.
+        self.beat_stop = None;
         if let Ok(s) = self.writer.stream.lock() {
             let _ = s.shutdown(std::net::Shutdown::Both);
         }
@@ -223,9 +226,6 @@ where
                         Upload::ConnectionLost => continue 'session,
                     }
                     pending_upload = None;
-                }
-                Message::Wait { ms } => {
-                    std::thread::sleep(Duration::from_millis(ms));
                 }
                 Message::Done => return Ok(summary),
                 Message::Error { msg } => return Err(format!("coordinator: {msg}")),

@@ -10,6 +10,8 @@ use idld_campaign::{
 use idld_net::{serve, JobSpec, Message, ServeOpts, ServeOutcome, WorkerOpts};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const WORKLOADS: &str = "crc32,basicmath";
 
@@ -22,6 +24,7 @@ fn base_spec(shards: usize) -> JobSpec {
         sweep: String::new(),
         workloads: WORKLOADS.to_string(),
         scale: 1,
+        smt: false,
     }
 }
 
@@ -63,12 +66,21 @@ fn serve_on(
     shards: usize,
     resume: bool,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeOutcome>) {
+    serve_with_heartbeat(dir, shards, resume, 50)
+}
+
+fn serve_with_heartbeat(
+    dir: &Path,
+    shards: usize,
+    resume: bool,
+    heartbeat_ms: u64,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<ServeOutcome>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let opts = ServeOpts {
         base: base_spec(shards),
         dir: dir.to_path_buf(),
-        heartbeat_ms: 50,
+        heartbeat_ms,
         resume,
         verbose: false,
     };
@@ -283,5 +295,67 @@ fn handshake_rejects_mismatched_versions() {
     .join()
     .expect("thread");
     coordinator.join().expect("coordinator thread");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// NEXT is a long poll: a worker that asks while the last shard is still
+/// running elsewhere is answered DONE as soon as that shard's artifact
+/// is accepted, not after sleeping out a heartbeat, and its connection
+/// (heartbeat thread included) shuts down at once.
+#[test]
+fn idle_worker_hears_done_within_a_heartbeat_of_the_last_artifact() {
+    const HEARTBEAT_MS: u64 = 1000;
+    let dir = temp_dir("longpoll");
+    let (addr, coordinator) = serve_with_heartbeat(&dir, 1, false, HEARTBEAT_MS);
+    let opts = WorkerOpts {
+        heartbeat_ms: HEARTBEAT_MS,
+        retry_max: 8,
+    };
+    // Computed up front, so the busy worker's upload is instant.
+    let body = run_shard(&base_spec(1)).expect("shard 0 of 1");
+
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let busy = {
+        let (addr, opts) = (addr.to_string(), opts.clone());
+        std::thread::spawn(move || {
+            idld_net::run_worker(&addr, &opts, move |_, _| {
+                started_tx.send(()).expect("signal start");
+                release_rx.recv().expect("release");
+                Ok(body.clone())
+            })
+        })
+    };
+    started_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the busy worker claimed the only shard");
+    let idle = {
+        let addr = addr.to_string();
+        std::thread::spawn(move || {
+            let summary = idld_net::run_worker(&addr, &opts, |_, _| {
+                Err("the only shard is taken".to_string())
+            });
+            (summary, Instant::now())
+        })
+    };
+    // Let the idle worker's NEXT sit through more than one heartbeat
+    // (one re-check for stale claims included) before the shard lands.
+    std::thread::sleep(Duration::from_millis(HEARTBEAT_MS * 3 / 2));
+    let released = Instant::now();
+    release_tx.send(()).expect("release the busy worker");
+
+    let (summary, finished) = idle.join().expect("idle worker thread");
+    let waited = finished.duration_since(released);
+    assert_eq!(summary.expect("idle worker").completed, 0);
+    assert!(
+        waited < Duration::from_millis(HEARTBEAT_MS / 4),
+        "DONE took {waited:?} after the last artifact (heartbeat {HEARTBEAT_MS} ms)"
+    );
+    assert_eq!(
+        busy.join().expect("busy thread").expect("busy").completed,
+        1
+    );
+    let outcome = coordinator.join().expect("coordinator thread");
+    assert_eq!(outcome.metrics.counter("shards_dispatched"), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
