@@ -79,6 +79,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -624,6 +625,49 @@ pub struct CellTiming {
     pub total: Duration,
 }
 
+/// Sums per-run wall time into one [`CellTiming`] per
+/// `(config, bench, model)`, cells in first-appearance order. The map
+/// makes each lookup constant-time, so aggregation is linear in the runs.
+#[derive(Default)]
+pub(crate) struct CellTimings {
+    cells: Vec<CellTiming>,
+    index: HashMap<(String, String, BugModel), usize>,
+}
+
+impl CellTimings {
+    /// Adds one finished run (poisoned runs included).
+    pub(crate) fn add(&mut self, rec: &RunRecord, elapsed: Duration) {
+        let cells = &mut self.cells;
+        // Runs arrive grouped by cell, so the newest cell usually matches
+        // and the map lookup (whose owned key allocates) is skipped.
+        let newest = cells.last().is_some_and(|c| {
+            c.model == rec.model && c.bench == rec.bench && c.config == rec.config
+        });
+        let i = if newest {
+            cells.len() - 1
+        } else {
+            *self
+                .index
+                .entry((rec.config.clone(), rec.bench.clone(), rec.model))
+                .or_insert_with(|| {
+                    cells.push(CellTiming {
+                        config: rec.config.clone(),
+                        bench: rec.bench.clone(),
+                        model: rec.model,
+                        runs: 0,
+                        poisoned: 0,
+                        total: Duration::ZERO,
+                    });
+                    cells.len() - 1
+                })
+        };
+        let cell = &mut cells[i];
+        cell.runs += 1;
+        cell.poisoned += usize::from(rec.poisoned.is_some());
+        cell.total += elapsed;
+    }
+}
+
 /// All records of one campaign.
 #[derive(Clone, Debug, Default)]
 pub struct CampaignResult {
@@ -806,10 +850,12 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Per-worker engine cache: the simulator and hand-off emulator of the
-/// golden cell the worker is currently streaming through. A restore
-/// fully overwrites simulator state, so reuse is invisible to the record
-/// stream — the cache only drops the per-run construction cost (a fresh
-/// memory image plus allocations) and lets the emulator advance
+/// golden cell the worker is currently streaming through. Every run
+/// starts the simulator from a defined state — a cold run from
+/// [`Simulator::reset`], a fork from a restore — so reuse is invisible
+/// to the record stream. The cache drops the per-run construction cost
+/// (a fresh 1 MiB memory image plus allocations; a reset restores only
+/// the pages the previous run wrote) and lets the emulator advance
 /// incrementally while a worker walks one cell's jobs in ascending
 /// hand-off order.
 struct WorkerCache<'p> {
@@ -931,13 +977,12 @@ impl Campaign {
         cache: &mut WorkerCache<'p>,
     ) -> (RunRecord, u64) {
         let snap = golden.snapshot_for(&spec);
-        // Forked runs fully overwrite simulator state on restore, so the
-        // worker's cached simulator (same program, same config) is reused;
-        // power-on runs need a pristine machine and replace it.
-        if snap.is_none() || cache.sim.is_none() {
-            cache.sim = Some(Simulator::new(&golden.workload.program, sim_cfg));
-        }
-        let sim = cache.sim.as_mut().expect("cache was just filled");
+        // The worker's cached simulator (same program, same config) serves
+        // every run of the cell: a fork restores over it, a cold run
+        // resets it to power-on in place.
+        let sim = cache
+            .sim
+            .get_or_insert_with(|| Simulator::new(&golden.workload.program, sim_cfg));
         let mut checkers;
         let mut hook;
         let skipped = match snap {
@@ -972,6 +1017,7 @@ impl Campaign {
                 s.cycle
             }
             None => {
+                sim.reset();
                 checkers = injection_checkers(&sim_cfg);
                 hook = SingleShotHook::new(spec);
                 0
@@ -1289,41 +1335,28 @@ impl Campaign {
         // to a sequential run; cancelled (never-started) slots are simply
         // absent.
         let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut records = Vec::with_capacity(total);
-        let mut timings: Vec<CellTiming> = Vec::new();
+        let mut timings = CellTimings::default();
         let mut snapshot_stats = SnapshotStats {
             captured: goldens.iter().flatten().map(|g| g.snapshots.len()).sum(),
             ..SnapshotStats::default()
         };
-        for (rec, elapsed, skipped) in slots.into_iter().flatten() {
-            if skipped > 0 {
-                snapshot_stats.forked_runs += 1;
-            } else {
-                snapshot_stats.cold_runs += 1;
-            }
-            snapshot_stats.skipped_cycles += skipped;
-            let cell = match timings
-                .iter_mut()
-                .find(|c| c.config == rec.config && c.bench == rec.bench && c.model == rec.model)
-            {
-                Some(c) => c,
-                None => {
-                    timings.push(CellTiming {
-                        config: rec.config.clone(),
-                        bench: rec.bench.clone(),
-                        model: rec.model,
-                        runs: 0,
-                        poisoned: 0,
-                        total: Duration::ZERO,
-                    });
-                    timings.last_mut().expect("just pushed")
+        // `filter_map` + `collect` moves the records within the slots'
+        // buffer (std collects a `vec::IntoIter` chain in place) instead of
+        // faulting in a second one: most of this loop's time at ~19k runs.
+        let mut records: Vec<RunRecord> = slots
+            .into_iter()
+            .filter_map(|slot| {
+                let (rec, elapsed, skipped) = slot?;
+                if skipped > 0 {
+                    snapshot_stats.forked_runs += 1;
+                } else {
+                    snapshot_stats.cold_runs += 1;
                 }
-            };
-            cell.runs += 1;
-            cell.poisoned += usize::from(rec.poisoned.is_some());
-            cell.total += elapsed;
-            records.push(rec);
-        }
+                snapshot_stats.skipped_cycles += skipped;
+                timings.add(&rec, elapsed);
+                Some(rec)
+            })
+            .collect();
 
         // The SMT axis appends its section after the dense single-thread
         // job space, so with it off the stream above is byte-identical to
@@ -1336,7 +1369,7 @@ impl Campaign {
         progress.on_finish(&state.snapshot());
         Ok(CampaignResult {
             records,
-            timings,
+            timings: timings.cells,
             wall: t0.elapsed(),
             snapshot_stats,
         })
@@ -1699,6 +1732,20 @@ mod tests {
             res.records.len()
         );
         assert!(res.wall > Duration::ZERO);
+
+        // Runs interleaved across cells (each one misses the newest-cell
+        // check) land in the same cells, in first-appearance order.
+        let mut interleaved: Vec<&RunRecord> = res.records.iter().collect();
+        interleaved.sort_by_key(|r| r.job % mini_cfg().runs_per_cell);
+        let mut timings = CellTimings::default();
+        for r in interleaved {
+            timings.add(r, Duration::from_micros(1));
+        }
+        let key = |c: &CellTiming| (c.config.clone(), c.bench.clone(), c.model, c.runs);
+        assert_eq!(
+            timings.cells.iter().map(key).collect::<Vec<_>>(),
+            res.timings.iter().map(key).collect::<Vec<_>>()
+        );
     }
 
     #[test]

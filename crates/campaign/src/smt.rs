@@ -20,7 +20,7 @@
 //! what it was before the axis existed.
 
 use crate::campaign::{
-    panic_message, Campaign, CellTiming, Detections, GoldenRunError, RunRecord,
+    panic_message, Campaign, CellTimings, Detections, GoldenRunError, RunRecord,
     SUPPRESS_PANIC_OUTPUT,
 };
 use crate::classify::{classify_smt, manifestation_cycle_smt};
@@ -32,7 +32,7 @@ use idld_sim::{CommitTrace, SimConfig, SimStop, SmtSimulator};
 use idld_workloads::{smt_pairs, SmtScenario};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Sweep-point label of every SMT-axis record ([`RunRecord::config`]).
 pub const SMT_LABEL: &str = "smt";
@@ -161,7 +161,7 @@ impl Campaign {
         &self,
         base_jobs: usize,
         records: &mut Vec<RunRecord>,
-        timings: &mut Vec<CellTiming>,
+        timings: &mut CellTimings,
         progress: &dyn CampaignProgress,
         cancel: Option<&AtomicBool>,
     ) -> Result<(), GoldenRunError> {
@@ -210,25 +210,7 @@ impl Campaign {
                         )
                     });
                     let elapsed = started.elapsed();
-                    let cell = match timings.iter_mut().find(|c| {
-                        c.config == rec.config && c.bench == rec.bench && c.model == rec.model
-                    }) {
-                        Some(c) => c,
-                        None => {
-                            timings.push(CellTiming {
-                                config: rec.config.clone(),
-                                bench: rec.bench.clone(),
-                                model: rec.model,
-                                runs: 0,
-                                poisoned: 0,
-                                total: Duration::ZERO,
-                            });
-                            timings.last_mut().expect("just pushed")
-                        }
-                    };
-                    cell.runs += 1;
-                    cell.poisoned += usize::from(rec.poisoned.is_some());
-                    cell.total += elapsed;
+                    timings.add(&rec, elapsed);
                     records.push(rec);
                 }
             }

@@ -49,12 +49,14 @@ impl Program {
         self.image.push((addr, data));
     }
 
-    /// Builds the initial data memory for one execution of this program.
+    /// Builds the initial data memory for one execution of this program,
+    /// with every page clean (see [`Memory::reset_dirty`]).
     pub fn build_memory(&self) -> Memory {
         let mut m = Memory::new(self.mem_size);
         for (addr, data) in &self.image {
             m.write_image(*addr, data);
         }
+        m.mark_clean();
         m
     }
 

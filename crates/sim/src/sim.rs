@@ -150,8 +150,12 @@ impl FetchDecode {
 
 /// A cycle-accurate out-of-order core bound to one program.
 ///
-/// Create one per run; drive it with [`Simulator::run`]. See the crate docs
-/// for the pipeline model.
+/// Drive it with [`Simulator::run`]. A run leaves the machine in its end
+/// state, so one simulator serves many runs of its program, each started
+/// from a defined state: [`Simulator::reset`] for power-on, or a restore
+/// ([`Simulator::restore`], [`Simulator::restore_from_arch`]) to fork
+/// from a snapshot. Every run hands its output stream to the
+/// [`RunResult`]. See the crate docs for the pipeline model.
 #[derive(Debug)]
 pub struct Simulator<'p> {
     prog: &'p Program,
@@ -217,18 +221,12 @@ pub struct Simulator<'p> {
 }
 
 impl<'p> Simulator<'p> {
-    /// Creates a simulator at power-on state for `program`.
+    /// Creates a simulator at power-on state for `program`: allocates
+    /// every structure, then [`Simulator::reset`]s it.
     pub fn new(program: &'p Program, cfg: SimConfig) -> Self {
-        let rrs = Rrs::new(cfg.rrs);
-        // Architectural registers start at zero; the initial RAT maps
-        // logical i to physical i, so the whole PRF starts zeroed and ready.
-        let mut prf = vec![0u64; cfg.rrs.num_phys];
-        let ready = vec![true; cfg.rrs.num_phys];
-        if let Some((zero, one)) = cfg.rrs.pinned() {
-            prf[zero.index()] = 0;
-            prf[one.index()] = 1;
-        }
-        Simulator {
+        // Run state below is a placeholder with the right capacity;
+        // `reset` writes the power-on values.
+        let mut sim = Simulator {
             prog: program,
             decode: program
                 .insts
@@ -237,9 +235,9 @@ impl<'p> Simulator<'p> {
                 .map(FetchDecode::new)
                 .collect(),
             mem: program.build_memory(),
-            rrs,
-            prf,
-            ready,
+            rrs: Rrs::new(cfg.rrs),
+            prf: Vec::with_capacity(cfg.rrs.num_phys),
+            ready: Vec::with_capacity(cfg.rrs.num_phys),
             window: VecDeque::with_capacity(cfg.rrs.rob_entries),
             stat: VecDeque::with_capacity(cfg.rrs.rob_entries),
             waiting_seqs: Vec::new(),
@@ -263,7 +261,54 @@ impl<'p> Simulator<'p> {
             req_buf: Vec::with_capacity(cfg.rrs.width),
             out_buf: Vec::with_capacity(cfg.rrs.width),
             cfg,
+        };
+        sim.reset();
+        sim
+    }
+
+    /// Returns this simulator to power-on state in place, keeping its
+    /// allocations: the one definition of power-on state, which
+    /// [`Simulator::new`] also goes through.
+    ///
+    /// Memory goes back to the program's initial image by restoring only
+    /// the pages written since the last reset ([`Memory::reset_dirty`]),
+    /// so a reset costs a few pages, not a fresh memory image. Every
+    /// other field is overwritten, except the per-cycle scratch buffers,
+    /// which are empty between cycles. A reset simulator is indistinguishable
+    /// from a new one: same snapshot, and the same [`RunResult`] for the
+    /// same run.
+    pub fn reset(&mut self) {
+        let cfg = self.cfg;
+        self.mem.reset_dirty(&self.prog.image);
+        self.rrs = Rrs::new(cfg.rrs);
+        // Architectural registers start at zero; the initial RAT maps
+        // logical i to physical i, so the whole PRF starts zeroed and ready.
+        self.prf.clear();
+        self.prf.resize(cfg.rrs.num_phys, 0);
+        self.ready.clear();
+        self.ready.resize(cfg.rrs.num_phys, true);
+        if let Some((zero, one)) = cfg.rrs.pinned() {
+            self.prf[zero.index()] = 0;
+            self.prf[one.index()] = 1;
         }
+        self.window.clear();
+        self.stat.clear();
+        self.waiting_seqs.clear();
+        self.src_lane.clear();
+        self.exec_done.clear();
+        self.store_seqs.clear();
+        self.predictor = Predictor::new(cfg.bp_log2, cfg.btb_log2);
+        self.fetch_pc = 0;
+        self.fetch_enabled = true;
+        self.fetch_fault = None;
+        self.halt_in_flight = false;
+        self.pending_flush = None;
+        self.redirect_after_recovery = None;
+        self.cycle = 0;
+        self.output.clear();
+        self.committed = 0;
+        self.stats = SimStats::default();
+        self.store_sets = StoreSets::new(512, 64);
     }
 
     /// Window index of the in-flight instruction with sequence `seq`.
@@ -420,8 +465,9 @@ impl<'p> Simulator<'p> {
             stop,
             cycles: self.cycle,
             committed: self.committed,
-            // The simulator is single-run (see the struct docs), so the
-            // output stream moves into the result instead of cloning.
+            // The output stream moves into the result instead of cloning;
+            // the next run starts from a reset or restore, which rewrites
+            // it (see the struct docs).
             output: std::mem::take(&mut self.output),
             trace,
             divergence,
