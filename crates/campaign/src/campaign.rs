@@ -471,7 +471,7 @@ impl GoldenRun {
                 }
             }
         };
-        let res = seg.finish(&mut sim, stop, &mut checkers);
+        let mut res = seg.finish(&mut sim, stop, &mut checkers);
         if res.stop != idld_sim::SimStop::Halted {
             return Err(GoldenRunError::DidNotHalt {
                 workload: workload.name.clone(),
@@ -483,6 +483,8 @@ impl GoldenRun {
                 workload: workload.name.clone(),
             });
         }
+        // The trace lives as long as the campaign: drop the growth slack.
+        res.trace.shrink_to_fit();
         Ok(GoldenRun {
             workload: workload.clone(),
             trace: res.trace,
@@ -1828,6 +1830,23 @@ mod tests {
         assert_eq!(g.output, w.expected_output);
         assert!(g.census.count(idld_rrs::OpSite::FlPop) > 100);
         assert_eq!(g.timeout_budget(), g.cycles * 5 / 2);
+    }
+
+    /// Golden traces live for a whole campaign: the delta encoding must
+    /// keep the suite's at about 2 bytes per commit, slack included.
+    #[test]
+    fn golden_traces_cost_about_two_bytes_per_commit() {
+        let (mut bytes, mut commits) = (0, 0);
+        for w in idld_workloads::suite() {
+            let g = GoldenRun::capture(&w, SimConfig::default()).expect("golden run halts");
+            bytes += g.trace.heap_bytes();
+            commits += g.trace.len();
+        }
+        let per_commit = bytes as f64 / commits as f64;
+        assert!(
+            per_commit <= 2.1,
+            "{per_commit:.3} B per commit over {commits} commits"
+        );
     }
 
     #[test]

@@ -315,7 +315,7 @@ pub fn differential(program: &Program, cfgs: &[SimConfig]) -> DiffOutcome {
                 }
             }
         }
-        traces.push((width, res.trace.pcs));
+        traces.push((width, res.trace.pcs().collect()));
     }
 
     // Cross-width commit-order check: architectural order is width-

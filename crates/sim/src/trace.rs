@@ -13,16 +13,59 @@
 //! [`ObsEvent::Commit`] per retirement and routes it here, so the commit
 //! trace, the divergence monitor, and any attached recorder all observe
 //! the *same* event — one source of truth for what committed when.
+//!
+//! A campaign keeps one golden trace per (sweep point × workload) alive for
+//! its whole life, so the trace is delta-encoded at about 2 bytes per
+//! commit (see [`CommitTrace`]).
 
 use idld_obs::{Consume, ObsEvent};
 
-/// A recorded commit trace: the pc and cycle of every committed instruction.
+/// Pc delta that sends the commit's full pc to the side vector.
+const PC_ESCAPE: i8 = i8::MIN;
+/// Cycle delta that sends the commit's full cycle to the side vector.
+const CYCLE_ESCAPE: u8 = u8::MAX;
+/// Commits per seek block: a cursor can start anywhere after at most
+/// `SEEK_EVERY - 1` decodes.
+const SEEK_EVERY: usize = 1024;
+
+/// Decoder state at the start of a seek block.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct SeekPoint {
+    /// Pc of the commit before the block (0 before the first).
+    pc: u32,
+    /// Cycle of the commit before the block (0 before the first).
+    cycle: u64,
+    /// Position in the pc side vector.
+    pc_escapes: u32,
+    /// Position in the cycle side vector.
+    cycle_escapes: u32,
+}
+
+/// A recorded commit trace: the pc and cycle of every committed
+/// instruction, in program order.
+///
+/// The trace is delta-encoded. Each commit stores one `i8` pc delta and one
+/// `u8` commit-cycle delta from the previous commit (the first from pc 0 at
+/// cycle 0). A delta that does not fit is written as the escape value
+/// (`i8::MIN`, `u8::MAX`) and the full pc or cycle goes to a side vector, so
+/// any sequence round-trips: SMT thread-tagged pcs (bit 30), far jumps and
+/// long stalls all take escapes. Every 1024 commits a seek point records
+/// the previous pc and cycle and both side-vector positions, so
+/// [`TraceMonitor::new_at`] joins mid-trace after at most 1023 decodes.
+///
+/// The campaign kernels never take an escape: a trace costs 2 bytes per
+/// commit plus 24 bytes per 1024 commits (about 2.02 B per commit, against
+/// 12 B for plain `u32` pc and `u64` cycle vectors). Read it back with
+/// [`CommitTrace::iter`], [`CommitTrace::pcs`] or [`CommitTrace::cycles`].
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CommitTrace {
-    /// Committed pcs, in program order.
-    pub pcs: Vec<u32>,
-    /// Commit cycle of each instruction.
-    pub cycles: Vec<u64>,
+    /// Per commit: the pc delta and the commit-cycle delta.
+    deltas: Vec<(i8, u8)>,
+    pc_escapes: Vec<u32>,
+    cycle_escapes: Vec<u64>,
+    seeks: Vec<SeekPoint>,
+    last_pc: u32,
+    last_cycle: u64,
 }
 
 impl CommitTrace {
@@ -34,21 +77,82 @@ impl CommitTrace {
     /// Number of committed instructions.
     #[inline]
     pub fn len(&self) -> usize {
-        self.pcs.len()
+        self.deltas.len()
     }
 
     /// True if nothing has committed.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.pcs.is_empty()
+        self.deltas.is_empty()
     }
 
     /// Appends one commit record.
     #[inline]
     pub fn push(&mut self, pc: usize, cycle: u64) {
-        self.pcs.push(pc as u32);
-        self.cycles.push(cycle);
+        if self.deltas.len().is_multiple_of(SEEK_EVERY) {
+            self.seeks.push(SeekPoint {
+                pc: self.last_pc,
+                cycle: self.last_cycle,
+                pc_escapes: side_position(self.pc_escapes.len()),
+                cycle_escapes: side_position(self.cycle_escapes.len()),
+            });
+        }
+        let pc = pc as u32;
+        let pc_delta = match i8::try_from(pc.wrapping_sub(self.last_pc) as i32) {
+            Ok(d) if d != PC_ESCAPE => d,
+            _ => {
+                self.pc_escapes.push(pc);
+                PC_ESCAPE
+            }
+        };
+        let cycle_delta = match u8::try_from(cycle.wrapping_sub(self.last_cycle)) {
+            Ok(d) if d != CYCLE_ESCAPE => d,
+            _ => {
+                self.cycle_escapes.push(cycle);
+                CYCLE_ESCAPE
+            }
+        };
+        self.deltas.push((pc_delta, cycle_delta));
+        self.last_pc = pc;
+        self.last_cycle = cycle;
     }
+
+    /// Releases the spare capacity left by vector growth. A golden trace
+    /// lives for the whole campaign, so its slack is worth returning.
+    pub fn shrink_to_fit(&mut self) {
+        self.deltas.shrink_to_fit();
+        self.pc_escapes.shrink_to_fit();
+        self.cycle_escapes.shrink_to_fit();
+        self.seeks.shrink_to_fit();
+    }
+
+    /// Heap bytes held by the trace (allocated capacity, not just length).
+    pub fn heap_bytes(&self) -> usize {
+        self.deltas.capacity() * size_of::<(i8, u8)>()
+            + self.pc_escapes.capacity() * size_of::<u32>()
+            + self.cycle_escapes.capacity() * size_of::<u64>()
+            + self.seeks.capacity() * size_of::<SeekPoint>()
+    }
+
+    /// Decodes the trace as `(pc, cycle)` pairs in commit order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, u64)> + '_ {
+        Cursor::at(self, 0)
+    }
+
+    /// Decodes the committed pcs in order.
+    pub fn pcs(&self) -> impl Iterator<Item = u32> + '_ {
+        self.iter().map(|(pc, _)| pc)
+    }
+
+    /// Decodes the commit cycles in order.
+    pub fn cycles(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().map(|(_, cycle)| cycle)
+    }
+}
+
+/// A side-vector position as stored in a seek point.
+fn side_position(len: usize) -> u32 {
+    u32::try_from(len).expect("commit trace side vector exceeds u32 positions")
 }
 
 impl Consume for CommitTrace {
@@ -59,6 +163,91 @@ impl Consume for CommitTrace {
         }
     }
 }
+
+/// A decode cursor over a [`CommitTrace`], yielding `(pc, cycle)` pairs.
+#[derive(Clone, Debug)]
+struct Cursor<'t> {
+    trace: &'t CommitTrace,
+    /// Index of the next commit to decode.
+    index: usize,
+    pc: u32,
+    cycle: u64,
+    pc_escapes: usize,
+    cycle_escapes: usize,
+}
+
+impl<'t> Cursor<'t> {
+    /// A cursor whose next decode is commit `start`, reached from the
+    /// nearest seek point. At or past the end the cursor is exhausted.
+    fn at(trace: &'t CommitTrace, start: usize) -> Self {
+        let mut cursor = Cursor {
+            trace,
+            index: trace.len(),
+            pc: 0,
+            cycle: 0,
+            pc_escapes: 0,
+            cycle_escapes: 0,
+        };
+        if start < trace.len() {
+            let block = start / SEEK_EVERY;
+            let seek = trace.seeks[block];
+            cursor.index = block * SEEK_EVERY;
+            cursor.pc = seek.pc;
+            cursor.cycle = seek.cycle;
+            cursor.pc_escapes = seek.pc_escapes as usize;
+            cursor.cycle_escapes = seek.cycle_escapes as usize;
+            for _ in cursor.index..start {
+                cursor.next();
+            }
+        }
+        cursor
+    }
+
+    /// Decodes a commit with at least one escaped field. Kept out of line:
+    /// the campaign kernels never escape, and inlining this path doubled
+    /// the cost of [`TraceMonitor::observe`].
+    #[cold]
+    #[inline(never)]
+    fn escaped(&mut self, pc_delta: i8, cycle_delta: u8) {
+        let t = self.trace;
+        self.pc = if pc_delta == PC_ESCAPE {
+            self.pc_escapes += 1;
+            t.pc_escapes[self.pc_escapes - 1]
+        } else {
+            self.pc.wrapping_add(pc_delta as i32 as u32)
+        };
+        self.cycle = if cycle_delta == CYCLE_ESCAPE {
+            self.cycle_escapes += 1;
+            t.cycle_escapes[self.cycle_escapes - 1]
+        } else {
+            self.cycle.wrapping_add(u64::from(cycle_delta))
+        };
+    }
+}
+
+impl Iterator for Cursor<'_> {
+    type Item = (u32, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u64)> {
+        let &(pc_delta, cycle_delta) = self.trace.deltas.get(self.index)?;
+        self.index += 1;
+        if pc_delta == PC_ESCAPE || cycle_delta == CYCLE_ESCAPE {
+            self.escaped(pc_delta, cycle_delta);
+        } else {
+            self.pc = self.pc.wrapping_add(pc_delta as i32 as u32);
+            self.cycle = self.cycle.wrapping_add(u64::from(cycle_delta));
+        }
+        Some((self.pc, self.cycle))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.trace.len() - self.index;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Cursor<'_> {}
 
 /// First divergences from a golden trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -88,10 +277,13 @@ impl Divergence {
 
 /// Streams a run's commits against a golden trace, recording first
 /// divergences.
+///
+/// The monitor walks the golden trace with a decode cursor: each observed
+/// commit decodes exactly one golden entry, whether or not it matches, so
+/// comparing a whole run costs one decode per commit and no allocation.
 #[derive(Clone, Debug)]
 pub struct TraceMonitor<'g> {
-    golden: &'g CommitTrace,
-    index: usize,
+    golden: Cursor<'g>,
     divergence: Divergence,
 }
 
@@ -104,35 +296,38 @@ impl<'g> TraceMonitor<'g> {
     /// Creates a monitor that joins the comparison at commit position
     /// `start_index`, for runs resumed from a state snapshot: the first
     /// `start_index` commits were produced by the golden run itself, so
-    /// they match by construction and need no re-checking.
+    /// they match by construction and need no re-checking. The cursor
+    /// starts from the nearest seek point, at most 1023 decodes away. A
+    /// start at or past the golden length treats every commit as extra.
     pub fn new_at(golden: &'g CommitTrace, start_index: usize) -> Self {
         TraceMonitor {
-            golden,
-            index: start_index,
+            golden: Cursor::at(golden, start_index),
             divergence: Divergence::default(),
         }
     }
 
     /// Observes one commit.
+    #[inline]
     pub fn observe(&mut self, pc: usize, cycle: u64) {
-        let i = self.index;
-        self.index += 1;
-        if i >= self.golden.len() {
+        match self.golden.next() {
             // Extra instructions beyond the golden run.
-            self.divergence.order.get_or_insert(cycle);
-            return;
-        }
-        if self.golden.pcs[i] as usize != pc {
-            self.divergence.order.get_or_insert(cycle);
-        } else if self.golden.cycles[i] != cycle {
-            self.divergence.timing.get_or_insert(cycle);
+            None => {
+                self.divergence.order.get_or_insert(cycle);
+            }
+            Some((golden_pc, _)) if golden_pc as usize != pc => {
+                self.divergence.order.get_or_insert(cycle);
+            }
+            Some((_, golden_cycle)) if golden_cycle != cycle => {
+                self.divergence.timing.get_or_insert(cycle);
+            }
+            Some(_) => {}
         }
     }
 
     /// Declares the run finished at `cycle`; a short trace is an order
     /// divergence.
     pub fn finish(&mut self, cycle: u64) -> Divergence {
-        if self.index < self.golden.len() {
+        if self.golden.len() > 0 {
             self.divergence.order.get_or_insert(cycle);
         }
         self.divergence
