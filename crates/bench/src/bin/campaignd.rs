@@ -13,7 +13,6 @@
 //! ```sh
 //! campaignd [--out DIR] [--shards N] [--resume]  # N loopback workers
 //! campaignd --scaling [1,2,4,8]        # shard-count series + byte check
-//! campaignd --bench                    # regenerate BENCH_campaign.json
 //! campaignd --listen HOST:PORT [--workers N]  # coordinator for remote workers
 //! campaignd --connect HOST:PORT        # worker
 //! ```
@@ -43,10 +42,8 @@
 //! - `IDLD_HEARTBEAT_MS` / `IDLD_RETRY_MAX` — service heartbeat interval
 //!   and worker (re)connect budget (strict parses; see `idld_net::env`).
 
-use idld_bench::{netd, BenchEntry, ScalingPoint};
-use idld_campaign::{
-    export, metrics_csv, Campaign, CampaignConfig, CampaignMetrics, MergedCampaign, StderrProgress,
-};
+use idld_bench::netd;
+use idld_campaign::MergedCampaign;
 use std::path::{Path, PathBuf};
 
 /// Where `--shards` and `--scaling` serve their loopback workers.
@@ -111,40 +108,11 @@ fn run_connect(addr: &str) -> ! {
     }
 }
 
-/// A [`BenchEntry`] for a merged multi-process run. `from_result` only
-/// fits in-process campaigns, so the fields come from the merge.
-fn entry_from_merged(
-    name: &str,
-    merged: &MergedCampaign,
-    wall_secs: f64,
-    shards: usize,
-) -> BenchEntry {
-    let mut workloads: Vec<(String, f64)> = Vec::new();
-    for c in &merged.timings {
-        let secs = c.total.as_secs_f64();
-        match workloads.iter_mut().find(|(b, _)| *b == c.bench) {
-            Some((_, acc)) => *acc += secs,
-            None => workloads.push((c.bench.clone(), secs)),
-        }
-    }
-    BenchEntry {
-        name: name.to_string(),
-        wall_secs,
-        runs: merged.runs(),
-        host_cores: idld_bench::host_cores(),
-        shards,
-        workload_scale: idld_bench::workload_scale(),
-        stats: merged.stats,
-        workloads,
-    }
-}
-
 /// `--scaling`: run the same campaign at each shard count (one loopback
-/// worker per shard), byte-verify every merged output against the first
-/// count's, and report the series. Returns each point with its merged
-/// campaign.
-fn run_scaling(counts: &[usize], out: &Path) -> Vec<(ScalingPoint, MergedCampaign)> {
-    let mut series: Vec<(ScalingPoint, MergedCampaign)> = Vec::with_capacity(counts.len());
+/// worker per shard), print each count's runs/s to stderr, and fail on
+/// the first merge that is not byte-identical to the first count's.
+fn run_scaling(counts: &[usize], out: &Path) {
+    let mut first: Option<MergedCampaign> = None;
     for &n in counts {
         let (merged, _, wall) = serve(
             LOOPBACK,
@@ -154,139 +122,20 @@ fn run_scaling(counts: &[usize], out: &Path) -> Vec<(ScalingPoint, MergedCampaig
             n,
             false,
         );
-        let identical = match series.first() {
-            Some((_, r)) => {
-                r.records_csv() == merged.records_csv()
-                    && r.metrics_csv() == merged.metrics_csv()
-                    && r.timings_csv(false) == merged.timings_csv(false)
-            }
-            None => true,
-        };
-        let point = ScalingPoint {
-            shards: n,
-            wall_secs: wall,
-            runs: merged.runs(),
-            merged_identical: identical,
-        };
+        let identical = first.as_ref().is_none_or(|r| {
+            r.records_csv() == merged.records_csv()
+                && r.metrics_csv() == merged.metrics_csv()
+                && r.timings_csv(false) == merged.timings_csv(false)
+        });
         eprintln!(
             "campaignd: {n} shard(s): {} runs in {wall:.2}s ({:.1} runs/s), merged identical: {identical}",
-            point.runs,
-            point.runs_per_sec()
+            merged.runs(),
+            merged.runs() as f64 / wall.max(f64::MIN_POSITIVE)
         );
-        series.push((point, merged));
-    }
-    if series.iter().any(|(p, _)| !p.merged_identical) {
-        fail("merged outputs differ across shard counts — shard merge is unsound");
-    }
-    series
-}
-
-/// `--bench`: regenerate `BENCH_campaign.json` — the cold oracle and the
-/// default forked campaign (in-process), the SMT axis, the sharded
-/// scaling series (every point byte-verified against the in-process
-/// default campaign), and a scale-10 suite entry.
-fn run_bench(out: &Path) {
-    // The same campaign the shard series serves, run in-process.
-    let spec = netd::job_template_from_env(1).unwrap_or_else(|e| fail(&e));
-    let suite = netd::suite_for(&spec).unwrap_or_else(|e| fail(&e));
-    let base = netd::config_for(&spec).unwrap_or_else(|e| fail(&e));
-
-    eprintln!("campaignd: cold oracle (no snapshots)...");
-    let cold = Campaign::new(CampaignConfig {
-        snapshot_max: 0,
-        ..base.clone()
-    })
-    .run_with_progress(&suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("cold campaign invalid: {e}")));
-
-    eprintln!("campaignd: default campaign...");
-    let default = Campaign::new(base.clone())
-        .run_with_progress(&suite, &StderrProgress::new())
-        .unwrap_or_else(|e| fail(&format!("default campaign invalid: {e}")));
-    if export::to_csv(&cold) != export::to_csv(&default) {
-        fail("forked execution changed the record stream");
-    }
-    let speedup = cold.wall.as_secs_f64() / default.wall.as_secs_f64();
-
-    // The SMT axis: the paired-scenario section appended after the dense
-    // single-thread job space (DESIGN §14). The single-thread prefix of
-    // the record stream must be byte-identical to the default campaign —
-    // the axis may only append.
-    eprintln!("campaignd: SMT axis...");
-    let smt = Campaign::new(CampaignConfig {
-        smt: true,
-        ..base.clone()
-    })
-    .run_with_progress(&suite, &StderrProgress::new())
-    .unwrap_or_else(|e| fail(&format!("SMT campaign invalid: {e}")));
-    if !export::to_csv(&smt).starts_with(&export::to_csv(&default)) {
-        fail("the SMT axis perturbed the single-thread record prefix");
-    }
-    let smt_entry = BenchEntry::from_result("suite_smt", &smt);
-
-    // The shard-count series only means something with cores to spread
-    // over: on a single-core host every extra shard just adds process
-    // overhead and the curve comes out inverted. Record an explicit skip
-    // marker instead of a misleading series (one 1-shard run still
-    // exercises and byte-verifies the shard pipeline).
-    let single_core = idld_bench::host_cores() == 1;
-    let counts: &[usize] = if single_core { &[1] } else { &[1, 2, 4, 8] };
-    if single_core {
-        eprintln!("campaignd: single-core host — skipping the shard scaling series");
-    } else {
-        eprintln!("campaignd: shard scaling series...");
-    }
-    let series = run_scaling(counts, out);
-    let records = export::to_csv(&default);
-    let metrics = metrics_csv(&CampaignMetrics::build(&default));
-    for (p, merged) in &series {
-        if merged.records_csv() != records || merged.metrics_csv() != metrics {
-            fail(&format!(
-                "the {}-shard merge differs from the in-process campaign — shard merge is unsound",
-                p.shards
-            ));
+        if !identical {
+            fail("merged outputs differ across shard counts — shard merge is unsound");
         }
-    }
-    let (best, best_merged) = series
-        .iter()
-        .min_by(|(a, _), (b, _)| a.wall_secs.total_cmp(&b.wall_secs))
-        .expect("series is nonempty");
-    let sharded = entry_from_merged("suite_sharded", best_merged, best.wall_secs, best.shards);
-    let measured: Vec<ScalingPoint> = series.iter().map(|(p, _)| *p).collect();
-    let scaling = if single_core {
-        idld_bench::ShardScaling::Skipped("single-core host")
-    } else {
-        idld_bench::ShardScaling::Measured(&measured)
-    };
-
-    eprintln!("campaignd: scale-10 suite...");
-    let scale10_suite = idld_workloads::suite_scaled(10);
-    let scale10_cfg = CampaignConfig {
-        runs_per_cell: match std::env::var("IDLD_SCALE10_RUNS") {
-            Err(_) => 4,
-            Ok(v) => v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("IDLD_SCALE10_RUNS must be a count, got {v:?}"))),
-        },
-        ..base
-    };
-    let scale10 = Campaign::new(scale10_cfg)
-        .run_with_progress(&scale10_suite, &StderrProgress::new())
-        .unwrap_or_else(|e| fail(&format!("scale-10 campaign invalid: {e}")));
-    let mut scale10_entry = BenchEntry::from_result("suite_scale10", &scale10);
-    scale10_entry.workload_scale = 10;
-
-    let entries = [
-        BenchEntry::from_result("suite_cold", &cold),
-        BenchEntry::from_result("suite_default", &default),
-        smt_entry,
-        sharded,
-        scale10_entry,
-    ];
-    match idld_bench::write_campaign_bench_json(&entries, scaling, Some(speedup)) {
-        Ok(path) => eprintln!("campaignd: wrote {path}"),
-        Err(e) => fail(&format!("could not write bench json: {e}")),
+        first.get_or_insert(merged);
     }
 }
 
@@ -304,7 +153,6 @@ fn main() {
     let mut out = PathBuf::from("campaign-out");
     let mut shards: Option<usize> = None;
     let mut scaling: Option<Vec<usize>> = None;
-    let mut bench = false;
     let mut resume = false;
     let mut listen = idld_net::env::try_listen().unwrap_or_else(|e| fail(&e));
     let mut connect = idld_net::env::try_connect().unwrap_or_else(|e| fail(&e));
@@ -333,11 +181,25 @@ fn main() {
                 };
                 scaling = Some(counts);
             }
-            "--bench" => bench = true,
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
 
+    if scaling.is_some() {
+        // `--scaling` serves its own loopback workers at each count; a
+        // flag it would ignore must not quietly change what was asked.
+        for (given, flag) in [
+            (shards.is_some(), "--shards"),
+            (resume, "--resume"),
+            (workers.is_some(), "--workers"),
+            (listen.is_some(), "--listen (or IDLD_LISTEN)"),
+            (connect.is_some(), "--connect (or IDLD_CONNECT)"),
+        ] {
+            if given {
+                fail(&format!("{flag} does not apply with --scaling"));
+            }
+        }
+    }
     if workers.is_some() && listen.is_none() {
         fail("--workers applies only with --listen; --shards N starts N loopback workers");
     }
@@ -346,10 +208,6 @@ fn main() {
             fail("--listen and --connect are mutually exclusive");
         }
         run_connect(&addr);
-    }
-    if bench {
-        run_bench(&out);
-        return;
     }
     if let Some(counts) = scaling {
         if counts.is_empty() {

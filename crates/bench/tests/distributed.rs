@@ -323,3 +323,49 @@ fn workers_without_listen_is_refused() {
         "{stderr}"
     );
 }
+
+/// `--scaling` byte-checks every shard count's merge and refuses the
+/// flags it would otherwise ignore; `--bench` is an unknown argument.
+#[test]
+fn scaling_series_byte_checks_and_refuses_ignored_flags() {
+    let dir = temp_dir("scaling");
+    let out = campaign_cmd(CAMPAIGND)
+        .env("IDLD_WORKLOADS", "crc32")
+        .arg("--scaling")
+        .arg("1,2")
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("run campaignd --scaling");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "exited with {}:\n{stderr}",
+        out.status
+    );
+    assert_eq!(
+        stderr.matches("merged identical: true").count(),
+        2,
+        "one verified merge per shard count:\n{stderr}"
+    );
+    for n in [1, 2] {
+        assert!(dir.join(format!("scale-{n}")).is_dir(), "scale-{n} missing");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    for (args, needle) in [
+        (&["--bench"][..], "unknown argument"),
+        (
+            &["--shards", "2", "--scaling", "1"][..],
+            "--shards does not apply with --scaling",
+        ),
+    ] {
+        let out = campaign_cmd(CAMPAIGND)
+            .args(args)
+            .output()
+            .expect("run campaignd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
