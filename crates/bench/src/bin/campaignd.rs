@@ -37,8 +37,6 @@
 //!   sharded run never oversubscribes the host.
 //! - `IDLD_TIMINGS_WALL=0` — zero the wall-clock column of the written
 //!   `timings.csv` (CI byte-comparisons across shard counts).
-//! - `IDLD_LISTEN` / `IDLD_CONNECT` — `host:port` fallbacks for the
-//!   `--listen` / `--connect` flags.
 //! - `IDLD_HEARTBEAT_MS` / `IDLD_RETRY_MAX` — service heartbeat interval
 //!   and worker (re)connect budget (strict parses; see `idld_net::env`).
 
@@ -154,8 +152,8 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut scaling: Option<Vec<usize>> = None;
     let mut resume = false;
-    let mut listen = idld_net::env::try_listen().unwrap_or_else(|e| fail(&e));
-    let mut connect = idld_net::env::try_connect().unwrap_or_else(|e| fail(&e));
+    let mut listen: Option<String> = None;
+    let mut connect: Option<String> = None;
     let mut workers: Option<usize> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -192,8 +190,8 @@ fn main() {
             (shards.is_some(), "--shards"),
             (resume, "--resume"),
             (workers.is_some(), "--workers"),
-            (listen.is_some(), "--listen (or IDLD_LISTEN)"),
-            (connect.is_some(), "--connect (or IDLD_CONNECT)"),
+            (listen.is_some(), "--listen"),
+            (connect.is_some(), "--connect"),
         ] {
             if given {
                 fail(&format!("{flag} does not apply with --scaling"));

@@ -131,6 +131,8 @@ pub const RETIRED_ENV: &[(&str, &str)] = &[
         "IDLD_EMU_BLOCK",
         "removed: the block-cached emulator always runs",
     ),
+    ("IDLD_LISTEN", "use `campaignd --listen HOST:PORT`"),
+    ("IDLD_CONNECT", "use `campaignd --connect HOST:PORT`"),
 ];
 
 /// Strictly parses environment variable `name` with `parse`: unset is

@@ -19,6 +19,40 @@ use std::fmt::Write as _;
 /// Scope label of the campaign-wide rollup registry.
 pub const CAMPAIGN_SCOPE: &str = "campaign";
 
+/// Every metric name [`observe_record`] can write: the schema a
+/// coordinator parses uploaded shard registries against
+/// ([`MetricsRegistry::from_kv`]).
+pub const CELL_METRICS: &[&str] = &[
+    "runs",
+    "Benign",
+    "Performance",
+    "CFD",
+    "SDC",
+    "Timeout",
+    "Assert",
+    "Crash",
+    "Anomalous",
+    "poisoned",
+    "masked",
+    "persists",
+    "eot_detects",
+    "detected_idld",
+    "detected_bv",
+    "detected_counter",
+    "idld_latency",
+    "manifestation_latency",
+    "end_cycle",
+    "activation_cycle",
+    "sim_cycles",
+    "sim_committed",
+    "sim_renamed",
+    "sim_issued",
+    "sim_flushes",
+    "sim_recovery_cycles",
+    "sim_mispredicts",
+    "sim_frontend_stalls",
+];
+
 /// Folds one run record into a registry.
 pub fn observe_record(m: &mut MetricsRegistry, r: &RunRecord) {
     m.incr("runs");
@@ -191,6 +225,33 @@ mod tests {
         assert!(m.rollup.counter("sim_cycles") > 0);
         assert!(m.cell("default/crc32/Leakage").is_some());
         assert!(m.cell("default/crc32/PdstID_Corruption").is_some());
+    }
+
+    /// Every name `observe_record` writes is in the schema, and every
+    /// schema name is written by some record.
+    #[test]
+    fn cell_metrics_schema_is_exactly_what_records_write() {
+        use crate::classify::OutcomeClass;
+        let base = tiny().records.swap_remove(0);
+        let mut m = MetricsRegistry::new();
+        for outcome in OutcomeClass::ALL {
+            let mut r = base.clone();
+            r.outcome = outcome;
+            r.persists = true;
+            r.manifestation_cycle = Some(r.end_cycle);
+            r.detections.bv = r.detections.idld;
+            r.detections.counter = r.detections.idld;
+            observe_record(&mut m, &r);
+        }
+        let mut poisoned = base;
+        poisoned.poisoned = Some("panic".to_string());
+        observe_record(&mut m, &poisoned);
+        let mut written: Vec<&str> = m.counters().map(|(n, _)| n).collect();
+        written.extend(m.histograms().map(|(n, _)| n));
+        written.sort_unstable();
+        let mut schema = CELL_METRICS.to_vec();
+        schema.sort_unstable();
+        assert_eq!(written, schema);
     }
 
     #[test]

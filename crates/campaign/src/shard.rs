@@ -30,7 +30,7 @@
 
 use crate::campaign::{CampaignResult, CellTiming, SnapshotStats};
 use crate::export;
-use crate::metrics::{metrics_csv, metrics_json, CampaignMetrics, CellMetrics};
+use crate::metrics::{metrics_csv, metrics_json, CampaignMetrics, CellMetrics, CELL_METRICS};
 use idld_bugs::BugModel;
 use idld_obs::{Fnv64, MetricsRegistry};
 use std::fmt::Write as _;
@@ -263,8 +263,8 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
             kv.push_str(line);
             kv.push('\n');
         }
-        let registry =
-            MetricsRegistry::from_kv(&kv).map_err(|e| format!("metrics of cell {scope:?}: {e}"))?;
+        let registry = MetricsRegistry::from_kv(&kv, CELL_METRICS)
+            .map_err(|e| format!("metrics of cell {scope:?}: {e}"))?;
         cells.push((scope, registry));
     }
     if lines.next().is_some() {

@@ -26,7 +26,7 @@ use crate::campaign::{
 use crate::classify::{classify_smt, manifestation_cycle_smt};
 use crate::progress::CampaignProgress;
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, SmtIdldChecker};
+use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
 use idld_rrs::CensusHook;
 use idld_sim::{CommitTrace, SimConfig, SimStop, SmtSimulator};
 use idld_workloads::{smt_pairs, SmtScenario};
@@ -37,12 +37,12 @@ use std::time::Instant;
 /// Sweep-point label of every SMT-axis record ([`RunRecord::config`]).
 pub const SMT_LABEL: &str = "smt";
 
-/// The checker set attached to every SMT run: the summed-invariant SMT
-/// IDLD checker plus the two baseline mechanisms in their shared-free-
+/// The checker set attached to every SMT run: the IDLD checker over both
+/// rename contexts plus the two baseline mechanisms in their shared-free-
 /// list configurations.
 pub fn smt_checkers(sim_cfg: &SimConfig) -> CheckerSet {
     let mut checkers = CheckerSet::new();
-    checkers.push(Box::new(SmtIdldChecker::new(&sim_cfg.rrs)));
+    checkers.push(Box::new(IdldChecker::new_smt(&sim_cfg.rrs)));
     checkers.push(Box::new(BitVectorChecker::new_smt(&sim_cfg.rrs)));
     checkers.push(Box::new(CounterChecker::new_smt(&sim_cfg.rrs)));
     checkers

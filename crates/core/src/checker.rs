@@ -4,7 +4,6 @@ use crate::bv::BitVectorChecker;
 use crate::counter::CounterChecker;
 use crate::idld::IdldChecker;
 use crate::parity::ParityChecker;
-use crate::smt_idld::SmtIdldChecker;
 use idld_rrs::{EventSink, RrsEvent};
 use std::fmt;
 
@@ -121,10 +120,8 @@ pub trait Checker: EventSink + Send + Sync {
 /// into [`CheckerSet::event`]; third-party [`Checker`] impls still work
 /// through the [`AnyChecker::Boxed`] fall-back.
 pub enum AnyChecker {
-    /// The paper's IDLD scheme.
+    /// The paper's IDLD scheme, over one or more rename contexts.
     Idld(IdldChecker),
-    /// IDLD extended to 2-way SMT rename sharing.
-    SmtIdld(SmtIdldChecker),
     /// The bit-vector baseline.
     BitVector(BitVectorChecker),
     /// The counter baseline.
@@ -139,7 +136,6 @@ macro_rules! dispatch {
     ($s:expr, $c:ident => $body:expr) => {
         match $s {
             AnyChecker::Idld($c) => $body,
-            AnyChecker::SmtIdld($c) => $body,
             AnyChecker::BitVector($c) => $body,
             AnyChecker::Counter($c) => $body,
             AnyChecker::Parity($c) => $body,
@@ -200,7 +196,6 @@ impl Clone for AnyChecker {
     fn clone(&self) -> Self {
         match self {
             AnyChecker::Idld(c) => AnyChecker::Idld(c.clone()),
-            AnyChecker::SmtIdld(c) => AnyChecker::SmtIdld(c.clone()),
             AnyChecker::BitVector(c) => AnyChecker::BitVector(c.clone()),
             AnyChecker::Counter(c) => AnyChecker::Counter(c.clone()),
             AnyChecker::Parity(c) => AnyChecker::Parity(c.clone()),
@@ -304,11 +299,11 @@ impl EventSink for CheckerSet {
     #[inline]
     fn event(&mut self, ev: RrsEvent) {
         // Fast path for the shipping configuration (the paper's scheme
-        // comparison: IDLD vs bit-vector vs counter). Pinning the concrete
-        // types lets the event-kind branch resolve once for all three
-        // handlers instead of re-dispatching per checker — the RRS emits
-        // several events per renamed instruction, so this is the hottest
-        // dispatch point in the simulator.
+        // comparison: IDLD vs bit-vector vs counter), single-thread and
+        // SMT alike. Pinning the concrete types lets the event-kind branch
+        // resolve once for all three handlers instead of re-dispatching per
+        // checker — the RRS emits several events per renamed instruction,
+        // so this is the hottest dispatch point in the simulator.
         if let [AnyChecker::Idld(i), AnyChecker::BitVector(b), AnyChecker::Counter(c)] =
             &mut self.checkers[..]
         {
@@ -324,14 +319,6 @@ impl EventSink for CheckerSet {
 
     #[inline]
     fn thread_hint(&mut self, t: u8) {
-        // The SMT shipping configuration: the SMT-aware IDLD plus the
-        // thread-blind BV/counter baselines (which keep the no-op default).
-        if let [AnyChecker::SmtIdld(i), AnyChecker::BitVector(_), AnyChecker::Counter(_)] =
-            &mut self.checkers[..]
-        {
-            i.thread_hint(t);
-            return;
-        }
         for c in &mut self.checkers {
             c.thread_hint(t);
         }

@@ -11,7 +11,8 @@
 //!   cycle the checker verifies `FLxor ^ RATxor ^ ROBxor` equals the
 //!   constant XOR of all extended PdstIDs (the paper folds the constant and
 //!   says "zero"). RATxor/ROBxor are checkpointed with each RAT checkpoint
-//!   and restored on flush recovery (§V.C).
+//!   and restored on flush recovery (§V.C). The same checker watches the
+//!   two contexts of the SMT renamer ([`IdldChecker::new_smt`]).
 //! * [`bv::BitVectorChecker`] — the bit-vector alternative of §V.E
 //!   (one free/allocated bit per physical register; detects duplication on
 //!   double-free and leakage only at pipeline-empty count checks).
@@ -42,7 +43,6 @@ pub mod checker;
 pub mod counter;
 pub mod idld;
 pub mod parity;
-pub mod smt_idld;
 #[cfg(test)]
 pub(crate) mod testutil;
 
@@ -51,4 +51,3 @@ pub use checker::{AnyChecker, Checker, CheckerSet, Detection, DetectionKind};
 pub use counter::CounterChecker;
 pub use idld::IdldChecker;
 pub use parity::ParityChecker;
-pub use smt_idld::SmtIdldChecker;

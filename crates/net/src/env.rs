@@ -5,12 +5,6 @@
 //! naming the variable — a typo'd heartbeat interval must never silently
 //! run the service with the default.
 
-/// Environment variable: coordinator listen address (`host:port`),
-/// equivalent to `campaignd --listen`.
-pub const LISTEN_ENV: &str = "IDLD_LISTEN";
-/// Environment variable: worker connect address (`host:port`),
-/// equivalent to `campaignd --connect`.
-pub const CONNECT_ENV: &str = "IDLD_CONNECT";
 /// Environment variable: heartbeat interval in milliseconds (default
 /// [`DEFAULT_HEARTBEAT_MS`]). Workers send a BEAT every interval; the
 /// coordinator treats a worker silent for [`STALE_BEATS`] intervals as
@@ -27,36 +21,10 @@ pub const STALE_BEATS: u32 = 5;
 /// Default connection-attempt budget.
 pub const DEFAULT_RETRY_MAX: u32 = 8;
 
-fn addr_of(name: &str, raw: &str) -> Result<String, String> {
-    let v = raw.trim();
-    // `host:port` with a numeric port — resolution happens at
-    // connect/bind time, but an obviously valueless string fails here.
-    match v.rsplit_once(':') {
-        Some((host, port)) if !host.is_empty() && port.parse::<u16>().is_ok() => Ok(v.to_string()),
-        _ => Err(format!("{name}={raw:?} is invalid: expected host:port")),
-    }
-}
-
 fn parsed<T: std::str::FromStr>(name: &str, raw: &str, what: &str) -> Result<T, String> {
     raw.trim()
         .parse()
         .map_err(|_| format!("{name}={raw:?} is invalid: expected {what}"))
-}
-
-/// [`LISTEN_ENV`] as a validated `host:port`, if set.
-pub fn try_listen() -> Result<Option<String>, String> {
-    std::env::var(LISTEN_ENV)
-        .ok()
-        .map(|raw| addr_of(LISTEN_ENV, &raw))
-        .transpose()
-}
-
-/// [`CONNECT_ENV`] as a validated `host:port`, if set.
-pub fn try_connect() -> Result<Option<String>, String> {
-    std::env::var(CONNECT_ENV)
-        .ok()
-        .map(|raw| addr_of(CONNECT_ENV, &raw))
-        .transpose()
 }
 
 /// [`HEARTBEAT_MS_ENV`], defaulting to [`DEFAULT_HEARTBEAT_MS`]. Zero is
@@ -94,22 +62,6 @@ mod tests {
 
     // Pure-function tests (no env mutation — parallel tests read the real
     // variables through the try_* wrappers).
-    #[test]
-    fn addresses_must_look_like_host_port() {
-        assert_eq!(
-            addr_of(LISTEN_ENV, " 127.0.0.1:4117 ").as_deref(),
-            Ok("127.0.0.1:4117")
-        );
-        assert_eq!(
-            addr_of(CONNECT_ENV, "[::1]:9000").as_deref(),
-            Ok("[::1]:9000")
-        );
-        for bad in ["", "4117", "localhost:", ":4117", "host:port", "host:99999"] {
-            let err = addr_of(LISTEN_ENV, bad).expect_err(bad);
-            assert!(err.contains(LISTEN_ENV), "{err}");
-        }
-    }
-
     #[test]
     fn numeric_knobs_reject_malformed_and_zero_values() {
         assert_eq!(parsed::<u64>(HEARTBEAT_MS_ENV, " 250 ", "ms"), Ok(250));

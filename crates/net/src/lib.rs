@@ -20,8 +20,8 @@
 //!   only missing shards;
 //! * [`worker`] — the worker client: exponential-backoff reconnect,
 //!   heartbeating, artifact re-send across connection loss;
-//! * [`env`] — strict parsing of the `IDLD_LISTEN` / `IDLD_CONNECT` /
-//!   `IDLD_HEARTBEAT_MS` / `IDLD_RETRY_MAX` knobs.
+//! * [`env`] — strict parsing of the `IDLD_HEARTBEAT_MS` /
+//!   `IDLD_RETRY_MAX` knobs.
 //!
 //! The proof obligation: merged `records.csv`/`metrics.csv` are
 //! **byte-identical to a single-process run** at any worker count, under

@@ -10,10 +10,14 @@
 //!
 //! The third hostile decoder, `decode_shard`, gets the same treatment in
 //! `idld_campaign::shard`'s own tests, where every mutated `.part` must
-//! be an `Err`. This file holds a single test so the allocator's
-//! high-water mark belongs to it alone.
+//! be an `Err`. Here it gets one case of its own: a well-formed, resealed
+//! ARTIFACT whose metric names lie outside the campaign schema. That test
+//! makes only small allocations, so the allocator's high-water mark still
+//! belongs to the frame test.
 
+use idld_campaign::{decode_shard, SHARD_MAGIC};
 use idld_net::{read_frame, write_frame, FrameError, JobSpec, Message, MAX_FRAME};
+use idld_obs::Fnv64;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -189,4 +193,33 @@ fn mutated_frames_and_messages_never_panic_or_overallocate() {
         largest < 1 << 20,
         "a forged frame allocated {largest} bytes"
     );
+}
+
+/// `body` followed by the digest line that matches it — what a peer that
+/// knows the artifact format can always send.
+fn sealed(body: &str) -> String {
+    let mut h = Fnv64::new();
+    h.write_bytes(body.as_bytes());
+    format!("{body}digest {:016x}\n", h.finish())
+}
+
+/// The coordinator decodes every uploaded artifact, duplicates included,
+/// before it checks anything else, and it keeps running across uploads.
+/// A metric name outside the fixed campaign schema must therefore be
+/// refused at decode, or each forged upload could leave new names behind
+/// in the coordinator for good.
+#[test]
+fn resealed_artifact_with_unknown_metric_names_is_refused() {
+    let artifact = |name: &str| {
+        sealed(&format!(
+            "{SHARD_MAGIC}\nshard 0 1\nwall_us 1\nstats 0 0 0 0\nrecords 0\ntimings 0\n\
+             cells 1\ncell default/crc32/Leakage\nc {name} 1\nendcell\n"
+        ))
+    };
+    decode_shard(&artifact("runs")).expect("a schema name decodes");
+    for i in 0..64 {
+        let name = format!("runs_{i}");
+        let err = decode_shard(&artifact(&name)).expect_err("a name outside the schema");
+        assert!(err.contains(&name), "{err}");
+    }
 }

@@ -226,16 +226,16 @@ impl MetricsRegistry {
 
     /// Parses a [`MetricsRegistry::to_kv`] block back into a registry.
     ///
-    /// Metric names are interned (the registry keys are `&'static str`);
-    /// the intern pool only ever holds the distinct metric names of the
-    /// campaign schema, so it is bounded regardless of how many shard
-    /// artifacts a coordinator parses.
+    /// Every metric name must be one of `schema`, whose entries become the
+    /// registry keys: parsing allocates no name, however many blocks are
+    /// parsed and whatever names they carry.
     ///
     /// # Errors
     ///
-    /// Any malformed line is an error naming the line — a merge over a
-    /// truncated shard artifact must fail loudly, not undercount.
-    pub fn from_kv(s: &str) -> Result<MetricsRegistry, String> {
+    /// Any malformed line, or a name outside `schema`, is an error naming
+    /// the line — a merge over a truncated or forged shard artifact must
+    /// fail loudly, not undercount.
+    pub fn from_kv(s: &str, schema: &[&'static str]) -> Result<MetricsRegistry, String> {
         fn num(tok: Option<&str>, line: &str) -> Result<u64, String> {
             tok.ok_or_else(|| format!("kv line {line:?}: missing field"))?
                 .parse()
@@ -248,10 +248,13 @@ impl MetricsRegistry {
             }
             let mut f = line.split(' ');
             let kind = f.next();
-            let name = intern(
-                f.next()
-                    .ok_or_else(|| format!("kv line {line:?}: no name"))?,
-            );
+            let raw = f
+                .next()
+                .ok_or_else(|| format!("kv line {line:?}: no name"))?;
+            let name = *schema
+                .iter()
+                .find(|&&n| n == raw)
+                .ok_or_else(|| format!("kv line {line:?}: unknown metric {raw:?}"))?;
             if m.counters.contains_key(name) || m.histograms.contains_key(name) {
                 return Err(format!("kv line {line:?}: duplicate metric {name:?}"));
             }
@@ -328,30 +331,12 @@ impl MetricsRegistry {
 /// Header for [`MetricsRegistry::csv_rows`] output.
 pub const METRICS_CSV_HEADER: &str = "scope,metric,kind,count,sum,min,max,mean";
 
-/// Interns a metric name, returning a `'static` reference.
-///
-/// Registry keys are `&'static str` (the in-process schema uses string
-/// literals); deserialization needs the same lifetime for parsed names.
-/// A global dedup set leaks each *distinct* name exactly once, so
-/// repeated parsing never grows the pool past the campaign schema size.
-fn intern(name: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::Mutex;
-    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
-    match pool.get(name) {
-        Some(&s) => s,
-        None => {
-            let s: &'static str = Box::leak(name.to_string().into_boxed_str());
-            pool.insert(s);
-            s
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The names the kv tests use.
+    const SCHEMA: &[&str] = &["runs", "masked", "latency", "end_cycle", "lat"];
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -399,10 +384,10 @@ mod tests {
         m.observe("latency", 0);
         m.observe("latency", 1000);
         m.observe("end_cycle", u64::MAX);
-        let back = MetricsRegistry::from_kv(&m.to_kv()).expect("round trip");
+        let back = MetricsRegistry::from_kv(&m.to_kv(), SCHEMA).expect("round trip");
         assert_eq!(m, back);
         // Empty registry round-trips too.
-        let empty = MetricsRegistry::from_kv("").expect("empty");
+        let empty = MetricsRegistry::from_kv("", SCHEMA).expect("empty");
         assert!(empty.is_empty());
     }
 
@@ -421,29 +406,40 @@ mod tests {
         let mut direct = MetricsRegistry::new();
         direct.merge(&a);
         direct.merge(&b);
-        let mut via_kv = MetricsRegistry::from_kv(&a.to_kv()).unwrap();
-        via_kv.merge(&MetricsRegistry::from_kv(&b.to_kv()).unwrap());
+        let mut via_kv = MetricsRegistry::from_kv(&a.to_kv(), SCHEMA).unwrap();
+        via_kv.merge(&MetricsRegistry::from_kv(&b.to_kv(), SCHEMA).unwrap());
         assert_eq!(direct, via_kv);
         assert_eq!(direct.to_kv(), via_kv.to_kv());
     }
 
     #[test]
     fn kv_rejects_malformed_input() {
-        assert!(MetricsRegistry::from_kv("x runs 1").is_err(), "bad kind");
-        assert!(MetricsRegistry::from_kv("c runs").is_err(), "missing value");
-        assert!(MetricsRegistry::from_kv("c runs abc").is_err(), "non-num");
         assert!(
-            MetricsRegistry::from_kv("h lat 1 2 3").is_err(),
+            MetricsRegistry::from_kv("x runs 1", SCHEMA).is_err(),
+            "bad kind"
+        );
+        assert!(
+            MetricsRegistry::from_kv("c runs", SCHEMA).is_err(),
+            "missing value"
+        );
+        assert!(
+            MetricsRegistry::from_kv("c runs abc", SCHEMA).is_err(),
+            "non-num"
+        );
+        assert!(
+            MetricsRegistry::from_kv("h lat 1 2 3", SCHEMA).is_err(),
             "truncated histogram header"
         );
         assert!(
-            MetricsRegistry::from_kv("h lat 1 2 3 4 nob").is_err(),
+            MetricsRegistry::from_kv("h lat 1 2 3 4 nob", SCHEMA).is_err(),
             "bad bucket pair"
         );
         assert!(
-            MetricsRegistry::from_kv("h lat 1 2 3 4 99:1").is_err(),
+            MetricsRegistry::from_kv("h lat 1 2 3 4 99:1", SCHEMA).is_err(),
             "bucket index out of range"
         );
+        let err = MetricsRegistry::from_kv("c runz 1", SCHEMA).expect_err("unknown name");
+        assert!(err.contains("unknown metric \"runz\""), "{err}");
     }
 
     #[test]

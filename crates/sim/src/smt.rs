@@ -778,7 +778,7 @@ impl<'p> SmtSimulator<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idld_core::{BitVectorChecker, CounterChecker, SmtIdldChecker};
+    use idld_core::{BitVectorChecker, CounterChecker, IdldChecker};
     use idld_isa::reg::r;
     use idld_isa::{Asm, Emulator};
     use idld_rrs::NoFaults;
@@ -812,7 +812,7 @@ mod tests {
 
     fn checkers(cfg: &SimConfig) -> CheckerSet {
         let mut c = CheckerSet::new();
-        c.push(Box::new(SmtIdldChecker::new(&cfg.rrs)));
+        c.push(Box::new(IdldChecker::new_smt(&cfg.rrs)));
         c.push(Box::new(BitVectorChecker::new_smt(&cfg.rrs)));
         c.push(Box::new(CounterChecker::new_smt(&cfg.rrs)));
         c

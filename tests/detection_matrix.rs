@@ -19,9 +19,7 @@
 
 use idld::bugs::{BugModel, BugSpec, SingleShotHook};
 use idld::campaign::{GoldenRun, SmtGolden};
-use idld::core::{
-    BitVectorChecker, CheckerSet, CounterChecker, IdldChecker, ParityChecker, SmtIdldChecker,
-};
+use idld::core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker, ParityChecker};
 use idld::rrs::OpSite;
 use idld::sim::{SimConfig, Simulator, SmtSimulator};
 use idld::workloads::smt_pairs;
@@ -180,7 +178,7 @@ fn probe_occurrences(total: u64) -> Vec<u64> {
 /// The SMT shipping checker set plus the parity companion.
 fn smt_full_checker_set(cfg: &SimConfig) -> CheckerSet {
     let mut c = CheckerSet::new();
-    c.push(Box::new(SmtIdldChecker::new(&cfg.rrs)));
+    c.push(Box::new(IdldChecker::new_smt(&cfg.rrs)));
     c.push(Box::new(BitVectorChecker::new_smt(&cfg.rrs)));
     c.push(Box::new(CounterChecker::new_smt(&cfg.rrs)));
     c.push(Box::new(ParityChecker::new(&cfg.rrs)));
