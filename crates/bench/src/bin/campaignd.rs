@@ -32,9 +32,10 @@
 //! - `IDLD_WORKLOADS` — comma-separated workload filter (default: full
 //!   suite), carried to every worker in its job.
 //! - `IDLD_WORKLOAD_SCALE` — suite scale factor (default 1).
-//! - `IDLD_CAMPAIGN_THREADS` — per-worker scheduler threads. When unset
-//!   each loopback worker is pinned to `max(1, cores / workers)` so a
-//!   sharded run never oversubscribes the host.
+//! - `IDLD_CAMPAIGN_THREADS` — per-worker campaign threads, golden
+//!   capture included. When unset each loopback worker is pinned to
+//!   `max(1, cores / workers)` so a sharded run never oversubscribes the
+//!   host.
 //! - `IDLD_TIMINGS_WALL=0` — zero the wall-clock column of the written
 //!   `timings.csv` (CI byte-comparisons across shard counts).
 //! - `IDLD_HEARTBEAT_MS` / `IDLD_RETRY_MAX` — service heartbeat interval

@@ -21,9 +21,10 @@
 //! | `sched_speedup` | (ours) per-run scheduler vs per-workload threads |
 //!
 //! Scale the campaigns with `IDLD_RUNS_PER_CELL` (paper scale: 1000),
-//! `IDLD_SEED`, and `IDLD_CAMPAIGN_THREADS` (scheduler workers; the
-//! record stream is identical for any value). `IDLD_SNAPSHOT_MAX=0` runs
-//! every injection cold from power-on (same records, slower).
+//! `IDLD_SEED`, and `IDLD_CAMPAIGN_THREADS` (campaign threads, golden
+//! capture included; the record stream is identical for any value).
+//! `IDLD_SNAPSHOT_MAX=0` runs every injection cold from power-on (same
+//! records, slower).
 
 use idld_campaign::{Campaign, CampaignConfig, CampaignResult, StderrProgress};
 

@@ -6,8 +6,12 @@
 //! `(workload, model, k)` run jobs through a shared atomic job index —
 //! work-stealing at run granularity, so `min(threads, jobs)` workers stay
 //! busy until the very last job, instead of one thread per workload idling
-//! behind the slowest workload. Golden runs are captured once per workload
-//! and shared read-only across workers via `Arc`.
+//! behind the slowest workload. Golden runs are captured once per
+//! `(point × workload)` cell, all before any run starts, on the same
+//! kind of pool: `min(threads, cells)` workers pull cells in index order.
+//! So [`CampaignConfig::threads`] bounds every thread a campaign runs
+//! simulations on, golden capture included. The goldens are then shared
+//! read-only across the run workers.
 //!
 //! # Snapshot-and-fork execution
 //!
@@ -90,8 +94,8 @@ use std::time::{Duration, Instant};
 pub const RUNS_PER_CELL_ENV: &str = "IDLD_RUNS_PER_CELL";
 /// Environment variable: master campaign seed.
 pub const SEED_ENV: &str = "IDLD_SEED";
-/// Environment variable: scheduler worker threads (0 or unset = one per
-/// available core).
+/// Environment variable: the campaign's worker threads, golden capture
+/// included (0 or unset = one per available core).
 pub const THREADS_ENV: &str = "IDLD_CAMPAIGN_THREADS";
 /// Environment variable: golden-run snapshot capture stride in cycles
 /// (`0` or unset = automatic).
@@ -178,8 +182,10 @@ pub struct CampaignConfig {
     pub runs_per_cell: usize,
     /// Master seed; every run's RNG derives deterministically from it.
     pub seed: u64,
-    /// Scheduler worker threads; `0` means one per available core. The
-    /// record stream is identical for every value (see module docs).
+    /// Worker threads of the campaign; `0` means one per available core.
+    /// Golden capture and the injection runs both run on at most this
+    /// many threads. The record stream is identical for every value (see
+    /// module docs).
     pub threads: usize,
     /// Golden-run snapshot stride in cycles; `0` picks automatically.
     pub snapshot_stride: u64,
@@ -1099,16 +1105,51 @@ impl Campaign {
         }
     }
 
-    /// The scheduler's worker-thread count for `jobs` pending jobs.
-    fn worker_count(&self, jobs: usize) -> usize {
+    /// Runs `work` on every index of `list` on `min(threads, list.len())`
+    /// scoped workers, the one pool behind both campaign phases. Workers
+    /// pull indices in list order through a shared atomic cursor, each
+    /// with private state from `init` (built on its own thread), and the
+    /// result for index `i` lands in slot `i` of the `slots`-long table
+    /// returned. A slot stays `None` if its index is not listed or
+    /// `cancel` was set before the index was pulled. A panic in `work`
+    /// propagates to the caller with its original payload.
+    fn drain<S, T: Send>(
+        &self,
+        list: &[usize],
+        slots: usize,
+        cancel: Option<&AtomicBool>,
+        init: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<Option<T>> {
         let hw = if self.cfg.threads > 0 {
             self.cfg.threads
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            std::thread::available_parallelism().map_or(1, |n| n.get())
         };
-        hw.min(jobs).max(1)
+        let next = AtomicUsize::new(0);
+        let table: Mutex<Vec<Option<T>>> = Mutex::new((0..slots).map(|_| None).collect());
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..hw.min(list.len()))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut state = init();
+                        while !cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                            let Some(&i) = list.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                                break;
+                            };
+                            let result = work(&mut state, i);
+                            table.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(result);
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    panic::resume_unwind(payload);
+                }
+            }
+        });
+        table.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Runs the full campaign over `workloads` (paper protocol: for every
@@ -1174,59 +1215,40 @@ impl Campaign {
             }
         }
 
-        // Golden runs: once per needed (point × workload) cell, in
-        // parallel, shared read-only with every worker afterwards. The
-        // capture also materializes the bounded per-cell lean snapshot
-        // cache that injected runs fork from.
+        // Golden runs: once per needed (point × workload) cell, on the
+        // same bounded pool as the runs, all before any run starts, and
+        // shared read-only with every worker afterwards. The capture also
+        // materializes the bounded per-cell lean snapshot cache that
+        // injected runs fork from.
         let sweeping = points.len() > 1 || points[0].label != DEFAULT_LABEL;
-        let captured: Vec<Option<Result<GoldenRun, GoldenRunError>>> =
-            std::thread::scope(|scope| {
-                let points = &points;
-                let handles: Vec<_> = needed
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, &need)| {
-                        need.then(|| {
-                            let point = &points[ci / nw];
-                            let w = &workloads[ci % nw];
-                            scope.spawn(move || {
-                                GoldenRun::capture_with_lean_snapshots(
-                                    w,
-                                    point.sim,
-                                    self.cfg.snapshot_stride,
-                                    self.cfg.snapshot_max,
-                                )
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.map(|h| {
-                            h.join()
-                                .expect("golden capture returns errors, never panics")
-                        })
-                    })
-                    .collect()
-            });
+        let cells: Vec<usize> = (0..needed.len()).filter(|&ci| needed[ci]).collect();
+        let captured = self.drain(
+            &cells,
+            needed.len(),
+            None,
+            || (),
+            |(), ci| {
+                GoldenRun::capture_with_lean_snapshots(
+                    &workloads[ci % nw],
+                    points[ci / nw].sim,
+                    self.cfg.snapshot_stride,
+                    self.cfg.snapshot_max,
+                )
+            },
+        );
         let mut goldens: Vec<Option<GoldenRun>> = Vec::with_capacity(captured.len());
         for (ci, g) in captured.into_iter().enumerate() {
-            match g {
-                Some(g) => {
-                    let g = g?;
-                    if sweeping {
-                        let label = &points[ci / nw].label;
-                        progress.on_golden(&format!("{label}/{}", g.workload.name), g.cycles);
-                    } else {
-                        progress.on_golden(&g.workload.name, g.cycles);
-                    }
-                    goldens.push(Some(g));
+            let g = g.transpose()?;
+            if let Some(g) = &g {
+                if sweeping {
+                    let label = &points[ci / nw].label;
+                    progress.on_golden(&format!("{label}/{}", g.workload.name), g.cycles);
+                } else {
+                    progress.on_golden(&g.workload.name, g.cycles);
                 }
-                None => goldens.push(None),
             }
+            goldens.push(g);
         }
-        let goldens = Arc::new(goldens);
 
         // Pass 2 — the job list, sampled up front in deterministic
         // sequential order (point-major, then workload, model, run index).
@@ -1279,66 +1301,44 @@ impl Campaign {
         });
 
         let state = ProgressState::new(total);
-        let next = AtomicUsize::new(0);
+        let _silencer = PanicSilencer::install();
         // Per-job result slot: record, work time, golden-prefix cycles
         // skipped.
-        type RunSlot = (RunRecord, Duration, u64);
-        let slots: Mutex<Vec<Option<RunSlot>>> = Mutex::new((0..total).map(|_| None).collect());
-        let _silencer = PanicSilencer::install();
-
-        let workers = self.worker_count(total);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let goldens = &goldens;
-                let points = &points;
-                let jobs = &jobs;
-                let order = &order;
-                let next = &next;
-                let slots = &slots;
-                let state = &state;
-                scope.spawn(move || {
-                    SUPPRESS_PANIC_OUTPUT.set(true);
-                    let mut cache = WorkerCache::new();
-                    loop {
-                        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                            break;
-                        }
-                        let oi = next.fetch_add(1, Ordering::Relaxed);
-                        if oi >= total {
-                            break;
-                        }
-                        let i = order[oi];
-                        let job = jobs[i];
-                        let point = &points[job.point];
-                        let golden = goldens[job.cell]
-                            .as_ref()
-                            .expect("sampled jobs have goldens");
-                        cache.enter(job.cell);
-                        let started = Instant::now();
-                        let (rec, skipped) = self.execute_job(
-                            point.sim,
-                            &point.label,
-                            job.job,
-                            golden,
-                            job.spec,
-                            cancel,
-                            &mut cache,
-                        );
-                        let elapsed = started.elapsed();
-                        state.complete(rec.outcome, rec.poisoned.is_some());
-                        slots.lock().unwrap_or_else(|e| e.into_inner())[i] =
-                            Some((rec, elapsed, skipped));
-                        progress.on_run(&state.snapshot());
-                    }
-                    SUPPRESS_PANIC_OUTPUT.set(false);
-                });
-            }
-        });
+        let slots = self.drain(
+            &order,
+            total,
+            cancel,
+            || {
+                SUPPRESS_PANIC_OUTPUT.set(true);
+                WorkerCache::new()
+            },
+            |cache, i| {
+                let job = jobs[i];
+                let point = &points[job.point];
+                let golden = goldens[job.cell]
+                    .as_ref()
+                    .expect("sampled jobs have goldens");
+                cache.enter(job.cell);
+                let started = Instant::now();
+                let (rec, skipped) = self.execute_job(
+                    point.sim,
+                    &point.label,
+                    job.job,
+                    golden,
+                    job.spec,
+                    cancel,
+                    cache,
+                );
+                let elapsed = started.elapsed();
+                state.complete(rec.outcome, rec.poisoned.is_some());
+                progress.on_run(&state.snapshot());
+                (rec, elapsed, skipped)
+            },
+        );
 
         // Write-back by original job index keeps the stream bit-identical
         // to a sequential run; cancelled (never-started) slots are simply
         // absent.
-        let slots = slots.into_inner().unwrap_or_else(|e| e.into_inner());
         let mut timings = CellTimings::default();
         let mut snapshot_stats = SnapshotStats {
             captured: goldens.iter().flatten().map(|g| g.snapshots.len()).sum(),
@@ -1537,6 +1537,96 @@ mod tests {
             crate::export::to_csv(&par),
             "CSV must be byte-identical between 1-thread and 8-thread runs"
         );
+    }
+
+    /// Records the cells `on_golden` reports, in call order.
+    #[derive(Default)]
+    struct GoldenLog(Mutex<Vec<String>>);
+
+    impl CampaignProgress for GoldenLog {
+        fn on_golden(&self, workload: &str, _cycles: u64) {
+            self.0.lock().expect("log lock").push(workload.to_string());
+        }
+    }
+
+    #[test]
+    fn first_bad_golden_cell_fails_the_campaign_at_any_thread_count() {
+        // Each bad cell is a three-instruction program with a wrong
+        // expected output, so a pool of four finishes both bad captures
+        // long before either good kernel. Whatever the finishing order,
+        // the error must name the first bad cell, and `on_golden` fire
+        // only for the cells before it.
+        let bad = |name: &str| {
+            let mut a = idld_isa::Asm::new();
+            a.li(idld_isa::reg::r(3), 41);
+            a.out(idld_isa::reg::r(3));
+            a.halt();
+            Workload::from_program(name, a.finish(), vec![42])
+        };
+        let [crc32, basicmath] = <[Workload; 2]>::try_from(picks()).expect("two picks");
+        let workloads = [crc32, bad("bad_a"), basicmath, bad("bad_b")];
+        for threads in [1, 4] {
+            let log = GoldenLog::default();
+            let err = Campaign::new(CampaignConfig {
+                threads,
+                ..mini_cfg()
+            })
+            .run_with_progress(&workloads, &log)
+            .expect_err("a bad golden fails the campaign");
+            assert_eq!(
+                err,
+                GoldenRunError::OutputMismatch {
+                    workload: "bad_a".to_string()
+                },
+                "{threads} threads"
+            );
+            assert_eq!(
+                log.0.into_inner().expect("log lock"),
+                vec!["crc32"],
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn pool_workers_capturing_many_goldens_change_no_output_byte() {
+        // 30 golden cells (three sweep points × ten kernels) against at
+        // most seven workers: every worker captures several cells.
+        let cfg = CampaignConfig {
+            sweep: SweepSpec::parse("grid").expect("preset"),
+            runs_per_cell: 1,
+            seed: 11,
+            ..Default::default()
+        };
+        let suite = idld_workloads::suite();
+        assert_eq!(suite.len(), 10);
+        let outputs: Vec<_> = [1, 2, 7]
+            .into_iter()
+            .map(|threads| {
+                let res = Campaign::new(CampaignConfig {
+                    threads,
+                    ..cfg.clone()
+                })
+                .run(&suite)
+                .expect("kernels capture");
+                let m = crate::metrics::CampaignMetrics::build(&res);
+                (
+                    crate::export::to_csv(&res),
+                    crate::metrics::metrics_csv(&m),
+                    crate::metrics::metrics_json(&m),
+                    res.snapshot_stats,
+                )
+            })
+            .collect();
+        assert_eq!(
+            outputs[0].0.lines().count(),
+            1 + 3 * 10 * 3,
+            "header + runs"
+        );
+        assert!(outputs[0].3.captured > 0);
+        for (threads, out) in [2, 7].into_iter().zip(&outputs[1..]) {
+            assert!(*out == outputs[0], "{threads} threads differ from 1");
+        }
     }
 
     #[test]
