@@ -124,6 +124,7 @@ fn run_scaling(counts: &[usize], out: &Path) {
         let identical = first.as_ref().is_none_or(|r| {
             r.records_csv() == merged.records_csv()
                 && r.metrics_csv() == merged.metrics_csv()
+                && r.metrics_json() == merged.metrics_json()
                 && r.timings_csv(false) == merged.timings_csv(false)
         });
         eprintln!(

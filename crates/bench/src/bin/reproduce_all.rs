@@ -9,11 +9,38 @@
 use idld_campaign::analysis::{
     DetectionFigure, ManifestationFigure, MaskingFigure, OutcomeFigure, PersistenceFigure,
 };
-use idld_mdp::{CheckPolicy, DriverConfig, MdpPipeline};
+use idld_campaign::{Campaign, CampaignConfig, CampaignResult, StderrProgress};
+use idld_mdp::UseCaseTable;
 use idld_rrs::RrsConfig;
 use idld_rtl::{table2, TechParams};
 use std::fs;
 use std::path::Path;
+
+/// Runs the standard full-suite campaign at env-controlled scale, with
+/// throttled stderr progress (runs/s, per-outcome tallies, ETA).
+///
+/// The default `runs_per_cell` is 12 (10 workloads × 3 models × 12 = 360
+/// runs); set `IDLD_RUNS_PER_CELL=1000` to match the paper's 30 000-run
+/// campaign, `IDLD_WORKLOAD_SCALE` to stretch the workloads, and
+/// `IDLD_CAMPAIGN_THREADS` to pin the scheduler's worker count (default:
+/// one per core; the record stream is identical for any value).
+fn run_standard_campaign() -> CampaignResult {
+    let mut cfg = CampaignConfig::from_env();
+    if std::env::var(idld_campaign::campaign::RUNS_PER_CELL_ENV).is_err() {
+        cfg.runs_per_cell = 12;
+    }
+    let scale = idld_bench::try_workload_scale().unwrap_or_else(|e| panic!("{e}"));
+    let suite = idld_workloads::suite_scaled(scale);
+    eprintln!(
+        "[idld-bench] campaign: {} workloads (scale {scale}) × 3 models × {} runs (seed {})",
+        suite.len(),
+        cfg.runs_per_cell,
+        cfg.seed
+    );
+    Campaign::new(cfg)
+        .run_with_progress(&suite, &StderrProgress::new())
+        .unwrap_or_else(|e| panic!("campaign baseline invalid: {e}"))
+}
 
 fn write(dir: &Path, name: &str, contents: &str) {
     let path = dir.join(name);
@@ -26,7 +53,7 @@ fn main() {
     fs::create_dir_all(dir).expect("create results dir");
 
     idld_bench::banner("reproducing every figure and table");
-    let res = idld_bench::run_standard_campaign();
+    let res = run_standard_campaign();
 
     write(dir, "records.csv", &idld_campaign::export::to_csv(&res));
     write(
@@ -76,36 +103,7 @@ fn main() {
         &table2(&RrsConfig::default(), &TechParams::default()).render(),
     );
 
-    // §V.F MDP use case summary.
-    let mut mdp = String::from("SV.F Store-Sets LFST use case (40 removal-drop injections)\n");
-    for (name, policy) in [
-        ("counter-zero", CheckPolicy::CounterZero),
-        ("sq-empty", CheckPolicy::SqEmpty),
-        ("checkpointed(8)", CheckPolicy::Checkpointed { interval: 8 }),
-    ] {
-        let mut detected = 0;
-        let mut hangs = 0;
-        for k in 0..40u64 {
-            let cfg = DriverConfig {
-                inject_removal_drop_at: Some(k * 7),
-                seed: 0x111d + k,
-                ..Default::default()
-            };
-            let out = MdpPipeline::new(cfg).run(policy);
-            if out.activation_op.is_some() {
-                if out.detection_op.is_some() {
-                    detected += 1;
-                }
-                if out.hang_op.is_some() {
-                    hangs += 1;
-                }
-            }
-        }
-        mdp.push_str(&format!(
-            "{name:<16} detected {detected}/40, load hangs {hangs}/40\n"
-        ));
-    }
-    write(dir, "mdp_usecase.txt", &mdp);
+    write(dir, "mdp_usecase.txt", &UseCaseTable::build().render());
 
     println!();
     println!(

@@ -1,32 +1,34 @@
-//! # idld-bench — figure/table regeneration harnesses
+//! # idld-bench — paper reproduction and measurement harnesses
 //!
-//! One bench target per figure and table of the paper's evaluation. Each
-//! campaign-backed target runs its own deterministic injection campaign and
-//! prints the same rows/series the paper reports:
+//! One binary regenerates the paper's evaluation: `reproduce_all` runs one
+//! deterministic injection campaign and writes every figure and table
+//! under `results/`:
 //!
-//! | target | paper artifact |
-//! |--------|----------------|
-//! | `fig3_masking` | Fig. 3 — masked activations per benchmark × model |
-//! | `fig4_persistence` | Fig. 4 — persisting masked bugs |
-//! | `fig5_manifestation` | Fig. 5 — manifestation-latency histogram |
-//! | `fig8_outcomes` | Fig. 8 — outcome breakdown, control-signal bugs |
-//! | `fig9_detection` | Fig. 9 — IDLD vs end-of-test coverage |
-//! | `fig10_bv` | Fig. 10 — adding the bit-vector scheme |
-//! | `table2_area_energy` | Table II — RRS area/energy, baseline vs IDLD |
-//! | `mdp_usecase` | §V.F — Store-Sets LFST checking policies |
+//! | `results/` file | paper artifact |
+//! |-----------------|----------------|
+//! | `fig3_masking.txt` | Fig. 3 — masked activations per benchmark × model |
+//! | `fig4_persistence.txt` | Fig. 4 — persisting masked bugs |
+//! | `fig5_manifestation.txt` | Fig. 5 — manifestation-latency histogram |
+//! | `fig8_outcomes.txt` | Fig. 8 — outcome breakdown, control-signal bugs |
+//! | `fig9_fig10_detection.txt` | Figs. 9 and 10 — IDLD vs end-of-test coverage, plus the bit-vector scheme |
+//! | `table2_area_energy.txt` | Table II — RRS area/energy, baseline vs IDLD |
+//! | `mdp_usecase.txt` | §V.F — Store-Sets LFST checking policies |
+//!
+//! plus `records.csv`, `metrics.{csv,json}` and `timings.csv`. The bench
+//! targets measure what the paper does not report:
+//!
+//! | target | measures |
+//! |--------|----------|
 //! | `ablation_extended_sites` | (ours) XOR-invariance coverage edges |
 //! | `checker_overhead` | (ours) simulation-speed cost of checkers |
 //! | `obs_overhead` | (ours) cost of the trace recorder, off and on |
 //! | `ablation_checkpoints` | (ours) checkpoint count vs recovery cost |
-//! | `sched_speedup` | (ours) per-run scheduler vs per-workload threads |
 //!
-//! Scale the campaigns with `IDLD_RUNS_PER_CELL` (paper scale: 1000),
-//! `IDLD_SEED`, and `IDLD_CAMPAIGN_THREADS` (campaign threads, golden
-//! capture included; the record stream is identical for any value).
-//! `IDLD_SNAPSHOT_MAX=0` runs every injection cold from power-on (same
-//! records, slower).
-
-use idld_campaign::{Campaign, CampaignConfig, CampaignResult, StderrProgress};
+//! Scale the campaign with `IDLD_RUNS_PER_CELL` (paper scale: 1000),
+//! `IDLD_WORKLOAD_SCALE`, `IDLD_SEED`, and `IDLD_CAMPAIGN_THREADS`
+//! (campaign threads, golden capture included; the record stream is
+//! identical for any value). `IDLD_SNAPSHOT_MAX=0` runs every injection
+//! cold from power-on (same records, slower).
 
 /// Environment variable: workload scale factor for bench campaigns
 /// (default 1; see `idld_workloads::suite_scaled`).
@@ -56,38 +58,6 @@ fn parse_workload_scale(raw: Option<&str>) -> Result<u32, String> {
             )),
         },
     }
-}
-
-/// [`try_workload_scale`], panicking on a malformed value (bench targets
-/// have no error channel).
-pub fn workload_scale() -> u32 {
-    try_workload_scale().unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs the standard full-suite campaign at env-controlled scale, with
-/// throttled stderr progress (runs/s, per-outcome tallies, ETA).
-///
-/// The default `runs_per_cell` for bench targets is 12 (10 workloads × 3
-/// models × 12 ≈ 360 runs, tens of seconds); set `IDLD_RUNS_PER_CELL=1000`
-/// to match the paper's 30 000-run campaign, and `IDLD_CAMPAIGN_THREADS`
-/// to pin the scheduler's worker count (default: one per core; the record
-/// stream is identical for any value).
-pub fn run_standard_campaign() -> CampaignResult {
-    let mut cfg = CampaignConfig::from_env();
-    if std::env::var(idld_campaign::campaign::RUNS_PER_CELL_ENV).is_err() {
-        cfg.runs_per_cell = 12;
-    }
-    let scale = workload_scale();
-    let suite = idld_workloads::suite_scaled(scale);
-    eprintln!(
-        "[idld-bench] campaign: {} workloads (scale {scale}) × 3 models × {} runs (seed {})",
-        suite.len(),
-        cfg.runs_per_cell,
-        cfg.seed
-    );
-    Campaign::new(cfg)
-        .run_with_progress(&suite, &StderrProgress::new())
-        .unwrap_or_else(|e| panic!("campaign baseline invalid: {e}"))
 }
 
 /// Prints a banner naming the regenerated artifact.
@@ -175,7 +145,7 @@ mod tests {
     #[test]
     fn workload_scale_rejects_malformed_values() {
         // Pure-function test (no env mutation — parallel tests read the
-        // real variable through `workload_scale`).
+        // real variable through `try_workload_scale`).
         assert_eq!(super::parse_workload_scale(None), Ok(1));
         assert_eq!(super::parse_workload_scale(Some(" 10 ")), Ok(10));
         assert!(super::parse_workload_scale(Some("1O")).is_err());

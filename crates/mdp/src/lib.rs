@@ -22,14 +22,18 @@
 //! * [`link::CreditLink`] — the broader-applicability demo: a credit-based
 //!   NoC link whose flit loop is protected by an IDLD XOR pair and whose
 //!   credit loop needs a conservation counter — complementary checkers for
-//!   two different closed loops.
+//!   two different closed loops;
+//! * [`usecase::UseCaseTable`] — the §V.F policy comparison: 40
+//!   removal-drop injections checked under each policy.
 
 pub mod checker;
 pub mod driver;
 pub mod link;
 pub mod predictor;
+pub mod usecase;
 
 pub use checker::{CheckPolicy, MdpDetection, MdpIdld};
 pub use driver::{DriverConfig, DriverOutcome, MdpPipeline};
 pub use link::{CreditLink, LinkDetection};
 pub use predictor::{StoreSets, StoreTag};
+pub use usecase::UseCaseTable;

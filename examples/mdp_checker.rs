@@ -6,6 +6,7 @@
 //! cargo run --release --example mdp_checker
 //! ```
 
+use idld::mdp::usecase::POLICIES;
 use idld::mdp::{CheckPolicy, DriverConfig, MdpPipeline};
 
 fn main() {
@@ -19,18 +20,14 @@ fn main() {
     // Drop one LFST removal and watch the policies race the hang.
     println!();
     println!("injecting a dropped LFST removal (the ICL065-style hazard):");
-    for (name, policy) in [
-        ("counter-zero  ", CheckPolicy::CounterZero),
-        ("sq-empty      ", CheckPolicy::SqEmpty),
-        ("checkpointed-8", CheckPolicy::Checkpointed { interval: 8 }),
-    ] {
+    for (name, policy) in POLICIES {
         let cfg = DriverConfig {
             inject_removal_drop_at: Some(120),
             ..Default::default()
         };
         let out = MdpPipeline::new(cfg).run(policy);
         println!(
-            "  {name}: activated@{:?}  idld-detect@{:?}  load-hang@{:?}",
+            "  {name:<15}: activated@{:?}  idld-detect@{:?}  load-hang@{:?}",
             out.activation_op, out.detection_op, out.hang_op
         );
     }
