@@ -37,12 +37,13 @@ const PAGE_SHIFT: u32 = 12;
 ///
 /// Memory also keeps a bitmap of the 4 KiB pages written since it was
 /// built or last reset, so a simulator can return to its program's
-/// initial image by restoring only those pages
-/// ([`Memory::reset_dirty`]). The invariant:
-/// every byte that differs from [`crate::Program::build_memory`] lies in
-/// a dirty page. `build_memory` starts clean, every store and image write
-/// marks the pages it touches, and `clone`/`clone_from` copy the bitmap.
-/// Equality compares bytes only.
+/// initial image ([`Memory::reset_dirty`]) or take on another image of
+/// the same program ([`Memory::restore_from`]) by copying only those
+/// pages. The invariant: every byte that differs from
+/// [`crate::Program::build_memory`] lies in a dirty page.
+/// `build_memory` starts clean, every store and image write marks the
+/// pages it touches, and `clone`, `clone_from` and `restore_from` copy
+/// the bitmap. Equality compares bytes only.
 #[derive(Clone, Debug)]
 pub struct Memory {
     bytes: Vec<u8>,
@@ -158,6 +159,34 @@ impl Memory {
         dirty.fill(0);
     }
 
+    /// Makes this memory equal to `src`, bytes and dirty bitmap, copying
+    /// only the pages dirty in either and allocating nothing. Exact when
+    /// both were built by the same program's
+    /// [`crate::Program::build_memory`]: by the invariant in the type
+    /// docs, a page clean in both holds the same baseline bytes in both.
+    /// A simulator forking from a snapshot restores its memory this way
+    /// from the emulator's, so a fork costs the pages either run wrote,
+    /// not a whole image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two memories differ in size.
+    pub fn restore_from(&mut self, src: &Memory) {
+        assert_eq!(self.size(), src.size(), "restore_from across memory sizes");
+        let Memory { bytes, dirty } = self;
+        let size = bytes.len();
+        for (w, (mine, &theirs)) in dirty.iter_mut().zip(&src.dirty).enumerate() {
+            let mut bits = *mine | theirs;
+            while bits != 0 {
+                let start = (w * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                let end = (start + (1 << PAGE_SHIFT)).min(size);
+                bytes[start..end].copy_from_slice(&src.bytes[start..end]);
+                bits &= bits - 1;
+            }
+            *mine = theirs;
+        }
+    }
+
     /// [`Memory::load`] with the width known at compile time, so the
     /// byte-assembly loop specializes to one `from_le_bytes`. Used by the
     /// block interpreter's pre-decoded micro-ops; bounds semantics (and
@@ -232,6 +261,8 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn store_load_round_trip() {
@@ -372,6 +403,47 @@ mod tests {
         let mut c = source.clone();
         c.reset_dirty(&p.image);
         assert_eq!(c, fresh);
+    }
+
+    /// A random store of 1, 4 or 8 bytes, biased towards page boundaries
+    /// and the last, partial page.
+    fn random_store(rng: &mut SmallRng, m: &mut Memory) {
+        let width = [1, 4, 8][rng.gen_range(0..3usize)];
+        let size = m.size();
+        let addr = match rng.gen_range(0..3u32) {
+            // Straddling (or just touching) a page boundary.
+            0 => rng.gen_range(1..size / PAGE + 1) * PAGE - rng.gen_range(0..8usize),
+            1 => size - width - rng.gen_range(0..16usize),
+            _ => rng.gen_range(0..size - width + 1),
+        };
+        m.store(addr as u64, width, rng.next_u64()).unwrap();
+    }
+
+    #[test]
+    fn restore_from_equals_a_full_copy() {
+        let p = paged_program();
+        let fresh = p.build_memory();
+        let mut rng = SmallRng::seed_from_u64(0x1d1d);
+        for _ in 0..500 {
+            let (mut m, mut src) = (p.build_memory(), p.build_memory());
+            for _ in 0..rng.gen_range(0..6usize) {
+                random_store(&mut rng, &mut m);
+            }
+            for _ in 0..rng.gen_range(0..6usize) {
+                random_store(&mut rng, &mut src);
+            }
+            m.restore_from(&src);
+            assert_eq!(m.bytes, src.bytes);
+            assert_eq!(m.dirty, src.dirty);
+            m.reset_dirty(&p.image);
+            assert_eq!(m, fresh);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "restore_from across memory sizes")]
+    fn restore_from_refuses_another_size() {
+        Memory::new(PAGE).restore_from(&Memory::new(2 * PAGE));
     }
 
     #[test]

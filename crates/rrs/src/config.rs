@@ -123,7 +123,8 @@ impl RrsConfig {
     }
 
     /// Validates internal consistency (RHT must cover the ROB window, the
-    /// checkpoint interval must be positive, sizes non-zero).
+    /// checkpoint interval must be positive, sizes non-zero, at most 256
+    /// architectural registers).
     ///
     /// # Panics
     ///
@@ -131,6 +132,10 @@ impl RrsConfig {
     /// constructed by experiment code, not simulated hardware.
     pub fn validate(&self) {
         assert!(self.num_arch >= 1 && self.num_phys > self.num_arch);
+        assert!(
+            self.num_arch <= u8::MAX as usize + 1,
+            "RHT and ROB entries hold the architectural index in a byte"
+        );
         if self.idiom_elim {
             assert!(
                 self.num_phys >= self.num_arch + 4,

@@ -10,8 +10,9 @@ use crate::rrs::RrsAssert;
 pub struct RhtEntry {
     /// True if the instruction wrote a register.
     pub has_dest: bool,
-    /// Architectural destination index (meaningful when `has_dest`).
-    pub arch: usize,
+    /// Architectural destination index (meaningful when `has_dest`);
+    /// a byte, as [`crate::RrsConfig::validate`] caps `num_arch` at 256.
+    pub arch: u8,
     /// The allocated (or, for eliminated moves, aliased) PdstID.
     pub new_pdst: PhysReg,
     /// True for a move-eliminated instruction: `new_pdst` was not
@@ -142,13 +143,18 @@ mod tests {
     use crate::fault::{Corruption, NoFaults};
     use crate::testutil::OneShot;
 
-    fn entry(arch: usize, p: u16) -> RhtEntry {
+    fn entry(arch: u8, p: u16) -> RhtEntry {
         RhtEntry {
             has_dest: true,
             arch,
             new_pdst: PhysReg(p),
             is_move: false,
         }
+    }
+
+    #[test]
+    fn entry_is_six_bytes() {
+        assert_eq!(std::mem::size_of::<RhtEntry>(), 6);
     }
 
     #[test]

@@ -19,8 +19,9 @@ use crate::rrs::RrsAssert;
 pub struct RobMeta {
     /// True if the instruction writes a register (owns an evicted PdstID).
     pub has_dest: bool,
-    /// Architectural destination index (meaningful when `has_dest`).
-    pub arch: usize,
+    /// Architectural destination index (meaningful when `has_dest`);
+    /// a byte, as [`crate::RrsConfig::validate`] caps `num_arch` at 256.
+    pub arch: u8,
     /// The PdstID allocated to this instruction (meaningful when `has_dest`).
     pub new_pdst: PhysReg,
 }
@@ -227,12 +228,17 @@ mod tests {
     use crate::fault::{Corruption, NoFaults};
     use crate::testutil::OneShot;
 
-    fn dest_meta(arch: usize, new: u16) -> RobMeta {
+    fn dest_meta(arch: u8, new: u16) -> RobMeta {
         RobMeta {
             has_dest: true,
             arch,
             new_pdst: PhysReg(new),
         }
+    }
+
+    #[test]
+    fn meta_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<RobMeta>(), 4);
     }
 
     #[test]

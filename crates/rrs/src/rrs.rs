@@ -362,7 +362,7 @@ impl Rrs {
             self.rob.alloc(
                 RobMeta {
                     has_dest: true,
-                    arch: ldst,
+                    arch: ldst as u8,
                     new_pdst: p,
                 },
                 evicted,
@@ -373,7 +373,7 @@ impl Rrs {
                 Some(p),
                 RhtEntry {
                     has_dest: true,
-                    arch: ldst,
+                    arch: ldst as u8,
                     new_pdst: p,
                     is_move: false,
                 },
@@ -416,7 +416,7 @@ impl Rrs {
         self.rob.alloc(
             RobMeta {
                 has_dest: true,
-                arch: ldst,
+                arch: ldst as u8,
                 new_pdst: p,
             },
             evicted,
@@ -426,7 +426,7 @@ impl Rrs {
         self.rht.append(
             RhtEntry {
                 has_dest: true,
-                arch: ldst,
+                arch: ldst as u8,
                 new_pdst: p,
                 is_move: true,
             },
@@ -511,7 +511,7 @@ impl Rrs {
             self.fl.push(v, hook, sink)?;
         }
         if c.meta.has_dest {
-            let old = self.rrat[c.meta.arch];
+            let old = self.rrat[c.meta.arch as usize];
             let newp = c.meta.new_pdst;
             if old != newp {
                 let mut old_out = None;
@@ -527,7 +527,7 @@ impl Rrs {
                 if *rn == 1 {
                     new_out = Some(newp);
                 }
-                self.rrat[c.meta.arch] = newp;
+                self.rrat[c.meta.arch as usize] = newp;
                 sink.event(RrsEvent::RratWrite {
                     old: old_out,
                     new: new_out,
@@ -626,6 +626,7 @@ impl Rrs {
             while budget > 0 && rec.pos <= rec.offending {
                 let entry = self.rht.read_at(rec.pos);
                 if entry.has_dest {
+                    let arch = entry.arch as usize;
                     // Re-applied through the regular RAT ports (§V.C), so the
                     // RAT write-enable fault site also covers walk traffic.
                     // Moves replay with duplicate semantics; regular renames
@@ -636,11 +637,10 @@ impl Rrs {
                         if dup_ok {
                             self.refcount[entry.new_pdst.index()] += 1;
                         }
-                        let _ =
-                            self.rat_write_port(entry.arch, entry.new_pdst, !dup_ok, hook, sink);
+                        let _ = self.rat_write_port(arch, entry.new_pdst, !dup_ok, hook, sink);
                     } else {
                         self.refcount[entry.new_pdst.index()] = 1;
-                        let _ = self.rat_write_port(entry.arch, entry.new_pdst, true, hook, sink);
+                        let _ = self.rat_write_port(arch, entry.new_pdst, true, hook, sink);
                     }
                 }
                 let c = hook.on_op(OpSite::RhtPosWalkRead);

@@ -194,7 +194,7 @@ impl SmtRrs {
             self.robs[t].alloc(
                 RobMeta {
                     has_dest: true,
-                    arch,
+                    arch: arch as u8,
                     new_pdst: new,
                 },
                 Some(evicted),

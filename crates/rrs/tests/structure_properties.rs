@@ -125,7 +125,7 @@ fn rob_retires_in_order() {
             let meta = match e {
                 Some(_) => RobMeta {
                     has_dest: true,
-                    arch: i % 4,
+                    arch: (i % 4) as u8,
                     new_pdst: PhysReg(99),
                 },
                 None => RobMeta::NO_DEST,

@@ -30,7 +30,10 @@ pub struct SimConfig {
     /// Enable store-sets memory dependence speculation (Chrysos & Emer):
     /// loads issue past older stores with unresolved addresses unless the
     /// predictor says otherwise; mis-speculations flush at the load and
-    /// train the predictor. Off = conservative disambiguation.
+    /// train the predictor. Off = conservative disambiguation. The
+    /// predictor's tables (about 5 KB) exist only when this is on, so a
+    /// simulator and its snapshots carry none of them in the default,
+    /// conservative mode.
     pub mem_dep_speculation: bool,
     /// Fast-forward provably dead cycles: when a cycle changes nothing
     /// (no commit/complete/issue/rename, no flush or recovery pending,

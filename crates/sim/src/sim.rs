@@ -209,7 +209,10 @@ pub struct Simulator<'p> {
     output: Vec<u64>,
     committed: u64,
     stats: SimStats,
-    store_sets: StoreSets,
+    /// The store-sets memory-dependence predictor, present exactly when
+    /// [`SimConfig::mem_dep_speculation`] is on; its presence is the
+    /// simulator's speculation switch.
+    store_sets: Option<StoreSets>,
     /// Per-cycle scratch: the fetch group `(pc, decode, pred_next, bp_hist)`.
     /// Reused across cycles to keep the fetch/rename path allocation-free;
     /// always empty between cycles, so snapshots need not carry it.
@@ -256,7 +259,7 @@ impl<'p> Simulator<'p> {
             output: Vec::new(),
             committed: 0,
             stats: SimStats::default(),
-            store_sets: StoreSets::new(512, 64),
+            store_sets: None,
             fetch_buf: Vec::with_capacity(cfg.rrs.width),
             req_buf: Vec::with_capacity(cfg.rrs.width),
             out_buf: Vec::with_capacity(cfg.rrs.width),
@@ -308,7 +311,7 @@ impl<'p> Simulator<'p> {
         self.output.clear();
         self.committed = 0;
         self.stats = SimStats::default();
-        self.store_sets = StoreSets::new(512, 64);
+        self.store_sets = cfg.mem_dep_speculation.then(|| StoreSets::new(512, 64));
     }
 
     /// Window index of the in-flight instruction with sequence `seq`.
@@ -580,8 +583,8 @@ impl<'p> Simulator<'p> {
         snap.verify_arch(emu)?;
         recorder.restore_state(&snap.recorder);
         match &snap.mem {
-            Some(m) => self.mem.clone_from(m),
-            None => self.mem.clone_from(emu.mem()),
+            Some(m) => self.mem.restore_from(m),
+            None => self.mem.restore_from(emu.mem()),
         }
         self.restore_except_mem(snap, checkers);
         Ok(())
@@ -600,7 +603,7 @@ impl<'p> Simulator<'p> {
             .as_ref()
             .expect("lean snapshot (memory stripped) requires restore_from_arch");
         recorder.restore_state(&snap.recorder);
-        self.mem.clone_from(mem);
+        self.mem.restore_from(mem);
         self.restore_except_mem(snap, checkers);
     }
 
@@ -1100,7 +1103,7 @@ impl<'p> Simulator<'p> {
             self.prf[p.index()] = result;
             self.ready[p.index()] = true;
         }
-        if self.cfg.mem_dep_speculation && matches!(inst.kind(), idld_isa::InstKind::Store) {
+        if self.store_sets.is_some() && matches!(inst.kind(), idld_isa::InstKind::Store) {
             self.resolve_store_and_check_violations(i);
         }
     }
@@ -1114,8 +1117,8 @@ impl<'p> Simulator<'p> {
         let (s_seq, s_pc) = (store.seq, store.pc);
         let s_addr = store.addr.expect("store executed");
         let s_width = store.inst.mem_width().expect("store width");
-        self.store_sets
-            .resolve_store(s_pc as u64, StoreTag(s_seq), true);
+        let store_sets = self.store_sets.as_mut().expect("speculation is on");
+        store_sets.resolve_store(s_pc as u64, StoreTag(s_seq), true);
 
         let mut victim: Option<(u64, usize, usize)> = None; // (seq, pc, idx)
         for j in i + 1..self.window.len() {
@@ -1144,7 +1147,7 @@ impl<'p> Simulator<'p> {
         }
         if let Some((l_seq, l_pc, _)) = victim {
             self.stats.mem_violations += 1;
-            self.store_sets.train_violation(l_pc as u64, s_pc as u64);
+            store_sets.train_violation(l_pc as u64, s_pc as u64);
             // Flush at the instruction before the load; refetch the load.
             if self.pending_flush.is_none_or(|(s, _)| l_seq - 1 < s) {
                 self.pending_flush = Some((l_seq - 1, l_pc));
@@ -1202,7 +1205,7 @@ impl<'p> Simulator<'p> {
             _ => 0,
         });
         let lwidth = load.inst.mem_width().expect("load width");
-        let speculate = self.cfg.mem_dep_speculation;
+        let speculate = self.store_sets.is_some();
         // Predicted dependence (store sets): wait until that specific
         // store's address resolves (or it is squashed / retired).
         if speculate {
@@ -1440,14 +1443,13 @@ impl<'p> Simulator<'p> {
             }
             // Store-sets dispatch interactions (speculative mode only).
             let mut wait_for_store = None;
-            if self.cfg.mem_dep_speculation {
+            if let Some(store_sets) = &mut self.store_sets {
                 match d.kind {
                     idld_isa::InstKind::Store => {
-                        let d = self.store_sets.dispatch_store(pc as u64, StoreTag(out.seq));
-                        let _ = d;
+                        store_sets.dispatch_store(pc as u64, StoreTag(out.seq));
                     }
                     idld_isa::InstKind::Load => {
-                        wait_for_store = self.store_sets.dispatch_load(pc as u64).map(|t| t.0);
+                        wait_for_store = store_sets.dispatch_load(pc as u64).map(|t| t.0);
                     }
                     _ => {}
                 }
@@ -1522,7 +1524,7 @@ pub struct SimSnapshot {
     output: Vec<u64>,
     committed: u64,
     stats: SimStats,
-    store_sets: StoreSets,
+    store_sets: Option<StoreSets>,
     checkers: CheckerSet,
 }
 
