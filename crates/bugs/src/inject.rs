@@ -192,9 +192,8 @@ impl FaultHook for SingleShotHook {
 
 /// A hook injecting one *at-rest* RAT upset (§V.D's storage-corruption
 /// class): at cycle `cycle`, entry `arch`'s stored PdstID is XORed with
-/// `mask` without any port traffic. Combine with
-/// [`idld_core`-style] parity checking to reproduce the paper's
-/// "orthogonal schemes" claim.
+/// `mask` without any port traffic. Combine with `idld_core`'s
+/// `ParityChecker` to reproduce the paper's "orthogonal schemes" claim.
 #[derive(Clone, Copy, Debug)]
 pub struct AtRestHook {
     /// Cycle at which the upset lands.

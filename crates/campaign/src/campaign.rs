@@ -36,10 +36,10 @@
 //! # Sweep and shard axes
 //!
 //! The job list is the cross product `config × workload × model × k`: the
-//! config axis comes from [`CampaignConfig::sweep`] (a
-//! [`SweepSpec`](crate::sweep::SweepSpec); empty = the single implicit
-//! `default` point over [`CampaignConfig::sim`]). Every job has a *dense
-//! global index* computable without running anything —
+//! config axis comes from [`CampaignConfig::sweep`] (a [`SweepSpec`];
+//! empty = the single implicit `default` point over
+//! [`CampaignConfig::sim`]). Every job has a *dense global index*
+//! computable without running anything —
 //! `((point × workloads + workload) × models + model) × runs_per_cell + k`
 //! — and carries it in [`RunRecord::job`].
 //!
@@ -86,7 +86,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -836,18 +836,6 @@ pub struct SnapshotStats {
     pub captured: usize,
 }
 
-impl SnapshotStats {
-    /// Fraction of runs served from a snapshot, `0..=1`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.forked_runs + self.cold_runs;
-        if total == 0 {
-            0.0
-        } else {
-            self.forked_runs as f64 / total as f64
-        }
-    }
-}
-
 /// Renders a caught panic payload as a short message.
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -941,29 +929,9 @@ impl Campaign {
     /// Runs one injection against a golden run (at the campaign's base
     /// `sim` configuration, as the implicit `default` sweep point).
     pub fn run_one(&self, golden: &GoldenRun, spec: BugSpec) -> RunRecord {
-        self.run_one_interruptible(golden, spec, None)
-    }
-
-    /// [`Campaign::run_one`] with an optional cooperative interrupt flag:
-    /// when it becomes true the simulation stops at the next budget check
-    /// (within ~1 k cycles) and classifies as it stands.
-    pub fn run_one_interruptible(
-        &self,
-        golden: &GoldenRun,
-        spec: BugSpec,
-        interrupt: Option<&AtomicBool>,
-    ) -> RunRecord {
         let mut cache = WorkerCache::new();
-        self.run_one_from(
-            self.cfg.sim,
-            DEFAULT_LABEL,
-            0,
-            golden,
-            spec,
-            interrupt,
-            &mut cache,
-        )
-        .0
+        self.run_one_from(self.cfg.sim, DEFAULT_LABEL, 0, golden, spec, &mut cache)
+            .0
     }
 
     /// Runs one injection, forking from the latest eligible golden
@@ -975,7 +943,6 @@ impl Campaign {
     /// cycle `C <= activation` and re-arming the hook with the census
     /// count at `C` reproduces the from-power-on run exactly — commits,
     /// cycles, outputs, stats and checker verdicts.
-    #[allow(clippy::too_many_arguments)]
     fn run_one_from<'p>(
         &self,
         sim_cfg: SimConfig,
@@ -983,7 +950,6 @@ impl Campaign {
         job: usize,
         golden: &'p GoldenRun,
         spec: BugSpec,
-        interrupt: Option<&AtomicBool>,
         cache: &mut WorkerCache<'p>,
     ) -> (RunRecord, u64) {
         let snap = golden.snapshot_for(&spec);
@@ -1034,7 +1000,7 @@ impl Campaign {
             }
         };
         let mut seg = sim.begin_run(Some(&golden.trace), golden.timeout_budget());
-        let stop = seg.run_to_end(sim, &mut hook, &mut checkers, interrupt);
+        let stop = seg.run_to_end(sim, &mut hook, &mut checkers, None);
         let res = seg.finish(sim, stop, &mut checkers);
 
         let outcome = classify(&res, &golden.output);
@@ -1067,7 +1033,6 @@ impl Campaign {
     /// Executes the job with global index `job` under panic isolation.
     /// Returns the record and the golden-prefix cycles the run skipped via
     /// snapshot forking.
-    #[allow(clippy::too_many_arguments)]
     fn execute_job<'p>(
         &self,
         sim_cfg: SimConfig,
@@ -1075,7 +1040,6 @@ impl Campaign {
         job: usize,
         golden: &'p GoldenRun,
         spec: BugSpec,
-        interrupt: Option<&AtomicBool>,
         cache: &mut WorkerCache<'p>,
     ) -> (RunRecord, u64) {
         let sabotage = self.cfg.sabotage_job == Some(job);
@@ -1083,7 +1047,7 @@ impl Campaign {
             if sabotage {
                 panic!("deliberately sabotaged run (test instrumentation)");
             }
-            self.run_one_from(sim_cfg, config, job, golden, spec, interrupt, cache)
+            self.run_one_from(sim_cfg, config, job, golden, spec, cache)
         }));
         match outcome {
             Ok(rec) => rec,
@@ -1110,14 +1074,12 @@ impl Campaign {
     /// pull indices in list order through a shared atomic cursor, each
     /// with private state from `init` (built on its own thread), and the
     /// result for index `i` lands in slot `i` of the `slots`-long table
-    /// returned. A slot stays `None` if its index is not listed or
-    /// `cancel` was set before the index was pulled. A panic in `work`
-    /// propagates to the caller with its original payload.
+    /// returned. A slot stays `None` if its index is not listed. A panic
+    /// in `work` propagates to the caller with its original payload.
     fn drain<S, T: Send>(
         &self,
         list: &[usize],
         slots: usize,
-        cancel: Option<&AtomicBool>,
         init: impl Fn() -> S + Sync,
         work: impl Fn(&mut S, usize) -> T + Sync,
     ) -> Vec<Option<T>> {
@@ -1133,10 +1095,7 @@ impl Campaign {
                 .map(|_| {
                     scope.spawn(|| {
                         let mut state = init();
-                        while !cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                            let Some(&i) = list.get(next.fetch_add(1, Ordering::Relaxed)) else {
-                                break;
-                            };
+                        while let Some(&i) = list.get(next.fetch_add(1, Ordering::Relaxed)) {
                             let result = work(&mut state, i);
                             table.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(result);
                         }
@@ -1173,28 +1132,6 @@ impl Campaign {
         workloads: &[Workload],
         progress: &dyn CampaignProgress,
     ) -> Result<CampaignResult, GoldenRunError> {
-        self.run_inner(workloads, progress, None)
-    }
-
-    /// [`Campaign::run_with_progress`] with a cooperative cancel flag:
-    /// setting it stops workers from starting new runs and interrupts
-    /// in-flight simulations at their next budget check. The result then
-    /// holds the records completed so far (still in deterministic order).
-    pub fn run_cancellable(
-        &self,
-        workloads: &[Workload],
-        progress: &dyn CampaignProgress,
-        cancel: &AtomicBool,
-    ) -> Result<CampaignResult, GoldenRunError> {
-        self.run_inner(workloads, progress, Some(cancel))
-    }
-
-    fn run_inner(
-        &self,
-        workloads: &[Workload],
-        progress: &dyn CampaignProgress,
-        cancel: Option<&AtomicBool>,
-    ) -> Result<CampaignResult, GoldenRunError> {
         let t0 = Instant::now();
         let points: Vec<SweepPoint> = self.cfg.sweep.resolve(self.cfg.sim);
         let nw = workloads.len();
@@ -1225,7 +1162,6 @@ impl Campaign {
         let captured = self.drain(
             &cells,
             needed.len(),
-            None,
             || (),
             |(), ci| {
                 GoldenRun::capture_with_lean_snapshots(
@@ -1307,7 +1243,6 @@ impl Campaign {
         let slots = self.drain(
             &order,
             total,
-            cancel,
             || {
                 SUPPRESS_PANIC_OUTPUT.set(true);
                 WorkerCache::new()
@@ -1320,15 +1255,8 @@ impl Campaign {
                     .expect("sampled jobs have goldens");
                 cache.enter(job.cell);
                 let started = Instant::now();
-                let (rec, skipped) = self.execute_job(
-                    point.sim,
-                    &point.label,
-                    job.job,
-                    golden,
-                    job.spec,
-                    cancel,
-                    cache,
-                );
+                let (rec, skipped) =
+                    self.execute_job(point.sim, &point.label, job.job, golden, job.spec, cache);
                 let elapsed = started.elapsed();
                 state.complete(rec.outcome, rec.poisoned.is_some());
                 progress.on_run(&state.snapshot());
@@ -1337,20 +1265,19 @@ impl Campaign {
         );
 
         // Write-back by original job index keeps the stream bit-identical
-        // to a sequential run; cancelled (never-started) slots are simply
-        // absent.
+        // to a sequential run.
         let mut timings = CellTimings::default();
         let mut snapshot_stats = SnapshotStats {
             captured: goldens.iter().flatten().map(|g| g.snapshots.len()).sum(),
             ..SnapshotStats::default()
         };
-        // `filter_map` + `collect` moves the records within the slots'
-        // buffer (std collects a `vec::IntoIter` chain in place) instead of
+        // `map` + `collect` moves the records within the slots' buffer
+        // (std collects a `vec::IntoIter` chain in place) instead of
         // faulting in a second one: most of this loop's time at ~19k runs.
         let mut records: Vec<RunRecord> = slots
             .into_iter()
-            .filter_map(|slot| {
-                let (rec, elapsed, skipped) = slot?;
+            .map(|slot| {
+                let (rec, elapsed, skipped) = slot.expect("every job ran");
                 if skipped > 0 {
                     snapshot_stats.forked_runs += 1;
                 } else {
@@ -1358,7 +1285,7 @@ impl Campaign {
                 }
                 snapshot_stats.skipped_cycles += skipped;
                 timings.add(&rec, elapsed);
-                Some(rec)
+                rec
             })
             .collect();
 
@@ -1367,7 +1294,7 @@ impl Campaign {
         // a campaign without the axis.
         if self.cfg.smt {
             let base_jobs = points.len() * nw * models * self.cfg.runs_per_cell;
-            self.run_smt_section(base_jobs, &mut records, &mut timings, progress, cancel)?;
+            self.run_smt_section(base_jobs, &mut records, &mut timings, progress)?;
         }
 
         progress.on_finish(&state.snapshot());
@@ -1803,18 +1730,6 @@ mod tests {
             assert_eq!(got.outcome, want.outcome, "record {i}");
             assert_eq!(got.detections, want.detections, "record {i}");
         }
-    }
-
-    #[test]
-    fn cancel_stops_early_with_partial_deterministic_prefix_content() {
-        let cancel = AtomicBool::new(true); // pre-cancelled: no runs start
-        let res = Campaign::new(mini_cfg())
-            .run_cancellable(&picks(), &NullProgress, &cancel)
-            .expect("goldens still captured");
-        assert!(
-            res.records.is_empty(),
-            "pre-cancelled campaign runs nothing"
-        );
     }
 
     #[test]

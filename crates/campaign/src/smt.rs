@@ -31,7 +31,6 @@ use idld_rrs::CensusHook;
 use idld_sim::{CommitTrace, SimConfig, SimStop, SmtSimulator};
 use idld_workloads::{smt_pairs, SmtScenario};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 /// Sweep-point label of every SMT-axis record ([`RunRecord::config`]).
@@ -163,7 +162,6 @@ impl Campaign {
         records: &mut Vec<RunRecord>,
         timings: &mut CellTimings,
         progress: &dyn CampaignProgress,
-        cancel: Option<&AtomicBool>,
     ) -> Result<(), GoldenRunError> {
         let models = BugModel::ALL.len();
         let bits = self.cfg.sim.rrs.pdst_bits();
@@ -187,9 +185,6 @@ impl Campaign {
                 let golden = SmtGolden::capture(scenario, self.cfg.sim)?;
                 progress.on_golden(&format!("{SMT_LABEL}/{}", scenario.name), golden.cycles);
                 for (mi, model, k) in owned {
-                    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        return Ok(());
-                    }
                     let mut rng = self.run_rng(SMT_LABEL, &scenario.name, model, k);
                     let Some(spec) = BugSpec::sample_smt(model, &golden.census, bits, &mut rng)
                     else {

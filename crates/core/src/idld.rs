@@ -654,12 +654,14 @@ mod tests {
         let mut smt = SmtRrs::new(c);
         let mut ck = IdldChecker::new_smt(&c);
         let mut cycle = 0u64;
+        let mut out = Vec::new();
         for round in 0..rounds {
             let t = (round % 2) as usize;
             if smt.can_rename(t, 2, 2) {
                 smt.rename_group(
                     t,
                     &[Some((round % 8) as usize), Some(((round + 3) % 8) as usize)],
+                    &mut out,
                     hook,
                     &mut ck,
                 )

@@ -10,14 +10,14 @@
 //!   configurations, cross-checking stop reasons, output streams,
 //!   architectural register/memory state and commit traces, and flagging
 //!   any checker detection on a clean run;
-//! * [`soundness`] — a checker-soundness fuzzer injecting random Table-I
+//! * [`soundness`](mod@soundness) — a checker-soundness fuzzer injecting random Table-I
 //!   bugs into cleanly-halting generated programs and verifying IDLD's
 //!   completeness and instantaneity claims.
 //!
 //! Determinism: iteration `i` of seed `s` derives its RNG from `(s, i)`
 //! alone (same scheme as the campaign's per-run RNGs), so any finding is
 //! reproducible from its `(seed, iter)` pair regardless of which other
-//! iterations ran. Findings are minimized with [`minimize`] and persisted
+//! iterations ran. Findings are minimized with [`minimize()`] and persisted
 //! by [`corpus`] as `.asm` + seed metadata.
 
 #![warn(missing_docs)]

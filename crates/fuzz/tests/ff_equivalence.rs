@@ -206,8 +206,7 @@ fn ff_forks_emit_byte_identical_traces() {
         let mut hook_a =
             SingleShotHook::resumed(spec, fsnap.counts[spec.site.index()], fsnap.cycle);
         let mut seg_a = sim_a.begin_run(Some(&full.trace), full.timeout_budget());
-        let stop_a =
-            seg_a.run_to_end_observed(&mut sim_a, &mut hook_a, &mut chk_a, None, &mut rec_a);
+        let stop_a = seg_a.run_to_end_observed(&mut sim_a, &mut hook_a, &mut chk_a, &mut rec_a);
         let res_a = seg_a.finish(&mut sim_a, stop_a, &mut chk_a);
 
         // Fork B: the lean snapshot, memory rebuilt by the emulator,
@@ -224,8 +223,7 @@ fn ff_forks_emit_byte_identical_traces() {
         let mut hook_b =
             SingleShotHook::resumed(spec, lsnap.counts[spec.site.index()], lsnap.cycle);
         let mut seg_b = sim_b.begin_run(Some(&lean.trace), lean.timeout_budget());
-        let stop_b =
-            seg_b.run_to_end_observed(&mut sim_b, &mut hook_b, &mut chk_b, None, &mut rec_b);
+        let stop_b = seg_b.run_to_end_observed(&mut sim_b, &mut hook_b, &mut chk_b, &mut rec_b);
         let res_b = seg_b.finish(&mut sim_b, stop_b, &mut chk_b);
 
         assert_eq!(res_a.stop, res_b.stop, "{}: stop", w.name);

@@ -163,13 +163,8 @@ fn forked_traces_match_uninterrupted_traces() {
         let mut fork = Simulator::new(&program, sim_cfg);
         fork.restore_observed(&snap, &mut fork_checkers, &mut fork_rec);
         let mut fseg = fork.begin_run(None, BUDGET);
-        let stop = fseg.run_to_end_observed(
-            &mut fork,
-            &mut NoFaults,
-            &mut fork_checkers,
-            None,
-            &mut fork_rec,
-        );
+        let stop =
+            fseg.run_to_end_observed(&mut fork, &mut NoFaults, &mut fork_checkers, &mut fork_rec);
         let fork_res = fseg.finish(&mut fork, stop, &mut fork_checkers);
 
         assert_eq!(fork_res.stop, ref_res.stop, "iter {iter}: stop reason");

@@ -13,16 +13,16 @@
 //! stream is partitioned into **basic blocks** (leaders at pc 0, at every
 //! static branch/jump target, and at the fall-through after every control
 //! instruction or halt), and each block is translated once into a flat,
-//! branch-free array of [`MicroOp`]s with
+//! branch-free array of `MicroOp`s with
 //!
 //! * register numbers pre-resolved to raw indices,
 //! * memory operands pre-specialized by static access width
 //!   (`Ld8`/`Ld4`/`Ld1`, `St8`/`St4`/`St1`), and
-//! * the block's control instruction lifted into a [`BlockEnd`] terminator
+//! * the block's control instruction lifted into a `BlockEnd` terminator
 //!   with its link value and static successors precomputed.
 //!
 //! Execution dispatches whole blocks from a cache keyed on entry pc
-//! ([`BlockEngine::lookup`]), chaining directly from block to block for
+//! (`BlockEngine::lookup`), chaining directly from block to block for
 //! every statically resolved successor — fall-through, `jal`, and both
 //! `br` directions (two-exit chaining) — without returning to the cache. Within a block there is no fetch, no pc update and no step
 //! check; pc and step count are reconstructed exactly at the terminator (or

@@ -13,9 +13,9 @@
 //!   the last artifact is persisted;
 //! - a connection error or EOF **releases** the worker's in-flight shards
 //!   back to the head of the queue;
-//! - a worker silent for [`STALE_BEATS`](crate::env::STALE_BEATS)
-//!   heartbeat intervals loses its claim to the next worker that asks —
-//!   even with the connection nominally open (hung host, dead NAT entry);
+//! - a worker silent for [`STALE_BEATS`] heartbeat intervals loses its
+//!   claim to the next worker that asks — even with the connection
+//!   nominally open (hung host, dead NAT entry);
 //! - an uploaded artifact is decoded and validated *before* the shard is
 //!   counted done, and persisted to `dir/shard-<i>.part` under the ledger
 //!   lock, so a `.part` file on disk is always a complete, decodable

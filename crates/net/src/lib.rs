@@ -20,7 +20,7 @@
 //!   only missing shards;
 //! * [`worker`] — the worker client: exponential-backoff reconnect,
 //!   heartbeating, artifact re-send across connection loss;
-//! * [`env`] — strict parsing of the `IDLD_HEARTBEAT_MS` /
+//! * [`env`](mod@env) — strict parsing of the `IDLD_HEARTBEAT_MS` /
 //!   `IDLD_RETRY_MAX` knobs.
 //!
 //! The proof obligation: merged `records.csv`/`metrics.csv` are

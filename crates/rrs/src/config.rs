@@ -89,11 +89,6 @@ impl RrsConfig {
         })
     }
 
-    /// True if `p` is one of the hardwired idiom registers.
-    pub fn is_pinned(&self, p: PhysReg) -> bool {
-        self.idiom_elim && p.index() >= self.num_phys - 2
-    }
-
     /// The initial free-list contents: physical registers
     /// `num_arch..num_phys` (minus the hardwired idiom registers, when
     /// enabled), in ascending order.

@@ -150,7 +150,9 @@ impl SmtRrs {
 
     /// Renames one group of up to `width` instructions fetched by hardware
     /// thread `t` (`group[i]` is instruction *i*'s logical destination, if
-    /// any). Returns the allocated PdstIDs, aligned with `group`.
+    /// any), writing the allocated PdstIDs into `out` (cleared first),
+    /// aligned with `group`. The caller owns `out`, so a simulator renaming
+    /// every cycle reuses one buffer instead of allocating per call.
     ///
     /// The thread-select mux ([`OpSite::ThreadSelect`]) is consulted once
     /// per group: any corruption flips the 1-bit select line, steering the
@@ -160,22 +162,24 @@ impl SmtRrs {
     ///
     /// # Errors
     ///
-    /// Returns [`RrsAssert::RobOverflow`] when `t`'s partition is full;
+    /// Returns [`RrsAssert::RobOverflow`] when `t`'s partition is full
+    /// (`out` then holds the outputs of the instructions before it);
     /// callers gate on [`SmtRrs::can_rename`].
     pub fn rename_group(
         &mut self,
         t: usize,
         group: &[Option<usize>],
+        out: &mut Vec<Option<PhysReg>>,
         hook: &mut impl FaultHook,
         sink: &mut impl EventSink,
-    ) -> Result<Vec<Option<PhysReg>>, RrsAssert> {
+    ) -> Result<(), RrsAssert> {
         debug_assert!(t < NUM_THREADS);
+        out.clear();
         if group.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let sel = hook.on_op(OpSite::ThreadSelect);
         let rat_t = if sel.is_active() { 1 - t } else { t };
-        let mut out = Vec::with_capacity(group.len());
         for &ldst in group {
             let Some(arch) = ldst else {
                 // No destination: pure in-order bookkeeping, no PdstID flow.
@@ -203,7 +207,7 @@ impl SmtRrs {
             )?;
             out.push(Some(new));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Retires thread `t`'s ROB head, reclaiming its evicted PdstID into
@@ -298,12 +302,14 @@ mod tests {
         let c = cfg();
         let mut smt = SmtRrs::new(c);
         let total = c.total_xor();
+        let mut out = Vec::new();
         for round in 0..40usize {
             let t = round % 2;
             if smt.can_rename(t, 2, 2) {
                 smt.rename_group(
                     t,
                     &[Some(round % 8), Some((round + 3) % 8)],
+                    &mut out,
                     &mut NoFaults,
                     &mut NullSink,
                 )
@@ -330,8 +336,8 @@ mod tests {
                 ..Corruption::NONE
             },
         );
-        let allocs = smt
-            .rename_group(1, &[Some(2)], &mut hook, &mut NullSink)
+        let mut allocs = Vec::new();
+        smt.rename_group(1, &[Some(2)], &mut allocs, &mut hook, &mut NullSink)
             .unwrap();
         assert!(hook.fired);
         // Thread 1's allocation landed in thread 0's RAT...
@@ -365,9 +371,10 @@ mod tests {
                 ..Corruption::NONE
             },
         );
-        let a0 = smt.rename_group(0, &[Some(0)], &mut hook, &mut s).unwrap();
-        let a1 = smt
-            .rename_group(1, &[Some(0)], &mut NoFaults, &mut s)
+        let (mut a0, mut a1) = (Vec::new(), Vec::new());
+        smt.rename_group(0, &[Some(0)], &mut a0, &mut hook, &mut s)
+            .unwrap();
+        smt.rename_group(1, &[Some(0)], &mut a1, &mut NoFaults, &mut s)
             .unwrap();
         assert!(hook.fired);
         // Both threads now map the same physical register — cross-thread
@@ -381,9 +388,10 @@ mod tests {
     fn census_sees_smt_sites_only() {
         let mut smt = SmtRrs::new(cfg());
         let mut census = CensusHook::new();
-        smt.rename_group(0, &[Some(1), None], &mut census, &mut NullSink)
+        let mut out = Vec::new();
+        smt.rename_group(0, &[Some(1), None], &mut out, &mut census, &mut NullSink)
             .unwrap();
-        smt.rename_group(1, &[Some(1)], &mut census, &mut NullSink)
+        smt.rename_group(1, &[Some(1)], &mut out, &mut census, &mut NullSink)
             .unwrap();
         while smt.rob_len(0) > 0 {
             smt.commit_head(0, &mut census, &mut NullSink).unwrap();
@@ -396,21 +404,85 @@ mod tests {
         assert_eq!(census.count(OpSite::RatWrite), 2);
     }
 
+    /// Records the event stream and the thread hints.
+    #[derive(Default, PartialEq, Debug)]
+    struct HintLog {
+        hints: Vec<u8>,
+        events: Vec<RrsEvent>,
+    }
+
+    impl EventSink for HintLog {
+        fn event(&mut self, ev: RrsEvent) {
+            self.events.push(ev);
+        }
+        fn thread_hint(&mut self, t: u8) {
+            self.hints.push(t);
+        }
+    }
+
+    #[test]
+    fn reused_output_buffer_renames_like_a_fresh_one() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let c = cfg();
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        // (thread, group, commits after the group), groups of 0..=width.
+        let script: Vec<(usize, Vec<Option<usize>>, usize)> = (0..400)
+            .map(|_| {
+                let t = rng.gen_range(0..NUM_THREADS);
+                let group = (0..rng.gen_range(0..c.width + 1))
+                    .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..c.num_arch)))
+                    .collect();
+                (t, group, rng.gen_range(0..3))
+            })
+            .collect();
+        // Both runs flip the thread-select mux at the same call, so
+        // steered groups are covered too.
+        let steer = || {
+            OneShot::new(
+                OpSite::ThreadSelect,
+                57,
+                Corruption {
+                    suppress_array: true,
+                    ..Corruption::NONE
+                },
+            )
+        };
+        let run = |reuse: bool| {
+            let mut smt = SmtRrs::new(c);
+            let mut log = HintLog::default();
+            let mut hook = steer();
+            // Stale entries longer than any group: a rename that appended
+            // instead of clearing would leave them visible.
+            let mut buf = vec![Some(PhysReg(31)); 2 * c.width];
+            let mut allocs = Vec::new();
+            for (t, group, commits) in &script {
+                let dests = group.iter().flatten().count();
+                if smt.can_rename(*t, dests, group.len()) {
+                    let mut fresh = Vec::new();
+                    let out = if reuse { &mut buf } else { &mut fresh };
+                    smt.rename_group(*t, group, out, &mut hook, &mut log)
+                        .unwrap();
+                    assert_eq!(out.len(), group.len());
+                    allocs.push(out.clone());
+                }
+                for _ in 0..(*commits).min(smt.rob_len(*t)) {
+                    smt.commit_head(*t, &mut NoFaults, &mut log).unwrap();
+                }
+            }
+            assert!(hook.fired, "the steered call was reached");
+            (allocs, log, smt.contents())
+        };
+        let (reused, fresh) = (run(true), run(false));
+        assert!(reused.0.len() > 100, "most groups renamed");
+        assert_eq!(reused.0, fresh.0, "PdstIDs");
+        assert_eq!(reused.1, fresh.1, "event and thread-hint streams");
+        assert_eq!(reused.2, fresh.2, "final contents");
+    }
+
     #[test]
     fn thread_hints_mirror_routing() {
-        #[derive(Default)]
-        struct HintLog {
-            hints: Vec<u8>,
-            events: Vec<RrsEvent>,
-        }
-        impl EventSink for HintLog {
-            fn event(&mut self, ev: RrsEvent) {
-                self.events.push(ev);
-            }
-            fn thread_hint(&mut self, t: u8) {
-                self.hints.push(t);
-            }
-        }
         let mut smt = SmtRrs::new(cfg());
         let mut log = HintLog::default();
         let mut hook = OneShot::new(
@@ -421,7 +493,7 @@ mod tests {
                 ..Corruption::NONE
             },
         );
-        smt.rename_group(1, &[Some(4)], &mut hook, &mut log)
+        smt.rename_group(1, &[Some(4)], &mut Vec::new(), &mut hook, &mut log)
             .unwrap();
         // FL pop attributed to t1, RAT traffic routed to t0, ROB to t1.
         assert_eq!(log.hints, vec![1, 0, 1]);

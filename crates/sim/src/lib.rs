@@ -49,7 +49,7 @@ pub mod trace;
 pub use config::SimConfig;
 pub use result::{CrashCause, RunResult, SimStop};
 pub use sim::{FfDivergence, SegmentedRun, SimSnapshot, Simulator};
-pub use smt::{SmtRunResult, SmtSegmentedRun, SmtSimulator, SmtSnapshot};
+pub use smt::{SmtRunResult, SmtSimulator};
 
 pub use stats::SimStats;
 pub use trace::{CommitTrace, Divergence, TraceMonitor};

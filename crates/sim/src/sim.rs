@@ -382,7 +382,9 @@ impl<'p> Simulator<'p> {
         golden: Option<&CommitTrace>,
         max_cycles: u64,
     ) -> RunResult {
-        self.run_with_interrupt(hook, checkers, golden, max_cycles, None)
+        let mut seg = self.begin_run(golden, max_cycles);
+        let stop = seg.run_to_end(self, hook, checkers, None);
+        seg.finish(self, stop, checkers)
     }
 
     /// [`Simulator::run`] with an event recorder attached: every pipeline
@@ -399,25 +401,7 @@ impl<'p> Simulator<'p> {
         recorder: &mut impl Recorder,
     ) -> RunResult {
         let mut seg = self.begin_run(golden, max_cycles);
-        let stop = seg.run_to_end_observed(self, hook, checkers, None, recorder);
-        seg.finish(self, stop, checkers)
-    }
-
-    /// [`Simulator::run`] with a cooperative interrupt: when `interrupt`
-    /// becomes true the run stops with [`SimStop::CycleLimit`] at the next
-    /// budget check. The flag is polled once every 1024 cycles alongside
-    /// the existing budget comparison, so the cost on the hot loop is nil
-    /// and the response latency is ~1 k simulated cycles.
-    pub fn run_with_interrupt(
-        &mut self,
-        hook: &mut impl FaultHook,
-        checkers: &mut CheckerSet,
-        golden: Option<&CommitTrace>,
-        max_cycles: u64,
-        interrupt: Option<&std::sync::atomic::AtomicBool>,
-    ) -> RunResult {
-        let mut seg = self.begin_run(golden, max_cycles);
-        let stop = seg.run_to_end(self, hook, checkers, interrupt);
+        let stop = seg.run_to_end_observed(self, hook, checkers, recorder);
         seg.finish(self, stop, checkers)
     }
 
@@ -548,10 +532,11 @@ impl<'p> Simulator<'p> {
         self.restore_observed(snap, checkers, &mut NullRecorder)
     }
 
-    /// Restores a *lean* snapshot (one whose memory was dropped by
-    /// [`SimSnapshot::discard_mem`]), reconstructing data memory from an
-    /// in-order emulator advanced to exactly the snapshot's committed
-    /// instruction count — the fast-forward engine hand-off.
+    /// Restores a *lean* snapshot (one taken by
+    /// [`Simulator::snapshot_lean`], without memory), reconstructing data
+    /// memory from an in-order emulator advanced to exactly the
+    /// snapshot's committed instruction count — the fast-forward engine
+    /// hand-off.
     ///
     /// Stores are applied to memory at commit, so the emulator's memory
     /// after `snap.committed()` architectural steps *is* the simulator's
@@ -1506,7 +1491,7 @@ pub struct SimSnapshot {
     recorder: RecorderState,
     rrs: Rrs,
     /// Data memory at the capture point; `None` for *lean* snapshots
-    /// ([`SimSnapshot::discard_mem`]), which are restored through
+    /// ([`Simulator::snapshot_lean`]), which are restored through
     /// [`Simulator::restore_from_arch`] with emulator-reconstructed memory.
     mem: Option<Memory>,
     prf: Vec<u64>,
@@ -1556,19 +1541,6 @@ impl SimSnapshot {
     #[inline]
     pub fn recorder_state(&self) -> &RecorderState {
         &self.recorder
-    }
-
-    /// Drops the captured data memory, turning this into a *lean* snapshot.
-    ///
-    /// Memory is by far the largest component of a snapshot (the suite
-    /// workloads carry 1 MiB each, against a few KiB for everything else),
-    /// and it is redundant: stores apply at commit, so the in-order
-    /// emulator reproduces it exactly from the committed instruction
-    /// count. Lean snapshots must be restored through
-    /// [`Simulator::restore_from_arch`]; plain [`Simulator::restore`]
-    /// panics on them.
-    pub fn discard_mem(&mut self) {
-        self.mem = None;
     }
 
     /// True if this snapshot still carries its captured memory image.
@@ -1773,24 +1745,19 @@ impl<'g> SegmentedRun<'g> {
     }
 
     /// Runs to a terminal stop (no more pauses).
+    ///
+    /// When `interrupt` becomes true the run stops with
+    /// [`SimStop::CycleLimit`] at the next budget check (polled every
+    /// 1024 cycles). Every caller in the workspace passes `None`; the
+    /// parameter stays only because the repository benchmark's per-layer
+    /// replay (`benchmark/src/trace.rs`) calls this signature, and it goes
+    /// when that replay is deleted in favour of the campaign's own probe.
     pub fn run_to_end(
         &mut self,
         sim: &mut Simulator<'_>,
         hook: &mut impl FaultHook,
         checkers: &mut CheckerSet,
         interrupt: Option<&std::sync::atomic::AtomicBool>,
-    ) -> SimStop {
-        self.run_to_end_observed(sim, hook, checkers, interrupt, &mut NullRecorder)
-    }
-
-    /// [`SegmentedRun::run_to_end`] with an event recorder attached.
-    pub fn run_to_end_observed(
-        &mut self,
-        sim: &mut Simulator<'_>,
-        hook: &mut impl FaultHook,
-        checkers: &mut CheckerSet,
-        interrupt: Option<&std::sync::atomic::AtomicBool>,
-        recorder: &mut impl Recorder,
     ) -> SimStop {
         sim.main_loop(
             hook,
@@ -1800,6 +1767,28 @@ impl<'g> SegmentedRun<'g> {
             self.record,
             self.max_cycles,
             interrupt,
+            None,
+            &mut NullRecorder,
+        )
+        .expect("run_to_end never pauses")
+    }
+
+    /// [`SegmentedRun::run_to_end`] with an event recorder attached.
+    pub fn run_to_end_observed(
+        &mut self,
+        sim: &mut Simulator<'_>,
+        hook: &mut impl FaultHook,
+        checkers: &mut CheckerSet,
+        recorder: &mut impl Recorder,
+    ) -> SimStop {
+        sim.main_loop(
+            hook,
+            checkers,
+            &mut self.trace,
+            &mut self.monitor,
+            self.record,
+            self.max_cycles,
+            None,
             None,
             recorder,
         )
@@ -2286,7 +2275,7 @@ mod tests {
         let mut fork = Simulator::new(&p, cfg);
         fork.restore_observed(&snap, &mut fchk, &mut frec);
         let mut fseg = fork.begin_run(None, 100_000);
-        let stop = fseg.run_to_end_observed(&mut fork, &mut NoFaults, &mut fchk, None, &mut frec);
+        let stop = fseg.run_to_end_observed(&mut fork, &mut NoFaults, &mut fchk, &mut frec);
         let fres = fseg.finish(&mut fork, stop, &mut fchk);
 
         assert_eq!(fres.stop, SimStop::Halted);

@@ -18,8 +18,7 @@
 //! advance (halted, crashed, or out of rename resources) the other
 //! thread takes the slot. Commit drains both threads every cycle, thread
 //! 0 first. Every scheduling decision is a pure function of simulator
-//! state, so runs are bit-for-bit reproducible and snapshot-fork
-//! continues exactly as if never paused.
+//! state, so runs are bit-for-bit reproducible.
 
 use crate::config::SimConfig;
 use crate::result::{CrashCause, SimStop};
@@ -27,8 +26,8 @@ use crate::stats::SimStats;
 use crate::trace::{CommitTrace, Divergence, TraceMonitor};
 use idld_core::CheckerSet;
 use idld_isa::{Inst, InstKind, Memory, Program};
-use idld_obs::{NullRecorder, ObsEvent, Recorder, RecorderState};
-use idld_rrs::{ContentSnapshot, FaultHook, RrsAssert, SmtRrs, NUM_THREADS};
+use idld_obs::{NullRecorder, ObsEvent, Recorder};
+use idld_rrs::{ContentSnapshot, FaultHook, PhysReg, RrsAssert, SmtRrs, NUM_THREADS};
 use std::collections::VecDeque;
 
 /// Bit position used to tag commit-trace program counters with the
@@ -125,113 +124,6 @@ impl SmtRunResult {
     }
 }
 
-/// Complete mutable state of an [`SmtSimulator`] plus its attached
-/// checkers (and optionally recorder), captured at a cycle boundary.
-#[derive(Clone)]
-pub struct SmtSnapshot {
-    cycle: u64,
-    seq: u64,
-    committed: u64,
-    stalled_cycles: u64,
-    last_thread: Option<u8>,
-    smt: SmtRrs,
-    prf: Vec<u64>,
-    ctx: [ThreadCtx; NUM_THREADS],
-    stats: SimStats,
-    checkers: CheckerSet,
-    recorder: RecorderState,
-}
-
-impl SmtSnapshot {
-    /// The cycle the snapshot was taken at.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Total committed instructions at capture.
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-}
-
-impl std::fmt::Debug for SmtSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SmtSnapshot")
-            .field("cycle", &self.cycle)
-            .field("committed", &self.committed)
-            .finish()
-    }
-}
-
-/// A resumable SMT run (the SMT counterpart of
-/// [`crate::SegmentedRun`]): holds the commit trace / divergence monitor
-/// across pause points so snapshot-fork joins the golden comparison
-/// mid-trace.
-pub struct SmtSegmentedRun<'g> {
-    trace: CommitTrace,
-    monitor: Option<TraceMonitor<'g>>,
-    record: bool,
-    max_cycles: u64,
-}
-
-impl<'g> SmtSegmentedRun<'g> {
-    /// Runs until `pause_at` (exclusive upper cycle bound) or a stop,
-    /// whichever comes first. Returns `Some(stop)` when the run ended.
-    pub fn step_until_observed(
-        &mut self,
-        sim: &mut SmtSimulator<'_>,
-        hook: &mut impl FaultHook,
-        checkers: &mut CheckerSet,
-        pause_at: u64,
-        recorder: &mut impl Recorder,
-    ) -> Option<SimStop> {
-        sim.run_span(
-            hook,
-            checkers,
-            &mut self.trace,
-            &mut self.monitor,
-            self.record,
-            self.max_cycles.min(pause_at),
-            recorder,
-        )
-        .or(if pause_at >= self.max_cycles {
-            Some(SimStop::CycleLimit)
-        } else {
-            None
-        })
-    }
-
-    /// Runs to completion (or the cycle budget).
-    pub fn run_to_end_observed(
-        &mut self,
-        sim: &mut SmtSimulator<'_>,
-        hook: &mut impl FaultHook,
-        checkers: &mut CheckerSet,
-        recorder: &mut impl Recorder,
-    ) -> SimStop {
-        sim.run_span(
-            hook,
-            checkers,
-            &mut self.trace,
-            &mut self.monitor,
-            self.record,
-            self.max_cycles,
-            recorder,
-        )
-        .unwrap_or(SimStop::CycleLimit)
-    }
-
-    /// Packages the final result once a stop was returned.
-    pub fn finish(
-        self,
-        sim: &mut SmtSimulator<'_>,
-        stop: SimStop,
-        checkers: &mut CheckerSet,
-    ) -> SmtRunResult {
-        sim.finish_run(stop, self.trace, self.monitor, checkers)
-    }
-}
-
 /// The 2-way SMT simulator. See the module docs for the machine model.
 pub struct SmtSimulator<'p> {
     programs: [&'p Program; NUM_THREADS],
@@ -243,11 +135,12 @@ pub struct SmtSimulator<'p> {
     cycle: u64,
     seq: u64,
     committed: u64,
-    stalled_cycles: u64,
     /// Last thread granted the frontend, for change-only
     /// [`ObsEvent::ThreadSwitch`] markers.
     last_thread: Option<u8>,
     stats: SimStats,
+    /// Reused [`SmtRrs::rename_group`] output buffer.
+    alloc_buf: Vec<Option<PhysReg>>,
 }
 
 impl<'p> SmtSimulator<'p> {
@@ -267,9 +160,9 @@ impl<'p> SmtSimulator<'p> {
             cycle: 0,
             seq: 0,
             committed: 0,
-            stalled_cycles: 0,
             last_thread: None,
             stats: SimStats::default(),
+            alloc_buf: Vec::with_capacity(1),
             smt,
             cfg,
         }
@@ -361,86 +254,22 @@ impl<'p> SmtSimulator<'p> {
         max_cycles: u64,
         recorder: &mut impl Recorder,
     ) -> SmtRunResult {
-        let mut seg = self.begin_run(golden, max_cycles);
-        let stop = seg.run_to_end_observed(self, hook, checkers, recorder);
-        seg.finish(self, stop, checkers)
-    }
-
-    /// Starts a resumable run (for pause/snapshot drivers). When this
-    /// simulator was restored from a snapshot mid-trace, the divergence
-    /// monitor joins the golden comparison at the restored commit
-    /// position.
-    pub fn begin_run<'g>(
-        &self,
-        golden: Option<&'g CommitTrace>,
-        max_cycles: u64,
-    ) -> SmtSegmentedRun<'g> {
-        SmtSegmentedRun {
-            trace: CommitTrace::new(),
-            monitor: golden.map(|g| TraceMonitor::new_at(g, self.committed as usize)),
-            record: golden.is_none(),
+        let mut trace = CommitTrace::new();
+        let mut monitor = golden.map(TraceMonitor::new);
+        let stop = self.run_span(
+            hook,
+            checkers,
+            &mut trace,
+            &mut monitor,
+            golden.is_none(),
             max_cycles,
-        }
+            recorder,
+        );
+        self.finish_run(stop, trace, monitor, checkers)
     }
 
-    /// Captures the complete mutable state of this simulator, the
-    /// attached `checkers` and the `recorder`, such that
-    /// [`SmtSimulator::restore_observed`] continues bit-for-bit
-    /// identically (events included) to never having stopped.
-    pub fn snapshot_observed(
-        &self,
-        checkers: &CheckerSet,
-        recorder: &impl Recorder,
-    ) -> SmtSnapshot {
-        SmtSnapshot {
-            cycle: self.cycle,
-            seq: self.seq,
-            committed: self.committed,
-            stalled_cycles: self.stalled_cycles,
-            last_thread: self.last_thread,
-            smt: self.smt.clone(),
-            prf: self.prf.clone(),
-            ctx: self.ctx.clone(),
-            stats: self.stats,
-            checkers: checkers.clone(),
-            recorder: recorder.state(),
-        }
-    }
-
-    /// [`SmtSimulator::snapshot_observed`] without a recorder.
-    pub fn snapshot(&self, checkers: &CheckerSet) -> SmtSnapshot {
-        self.snapshot_observed(checkers, &NullRecorder)
-    }
-
-    /// Restores this simulator, `checkers` and `recorder` to `snap`'s
-    /// captured state. The simulator must have been created over the
-    /// same programs and configuration.
-    pub fn restore_observed(
-        &mut self,
-        snap: &SmtSnapshot,
-        checkers: &mut CheckerSet,
-        recorder: &mut impl Recorder,
-    ) {
-        self.cycle = snap.cycle;
-        self.seq = snap.seq;
-        self.committed = snap.committed;
-        self.stalled_cycles = snap.stalled_cycles;
-        self.last_thread = snap.last_thread;
-        self.smt = snap.smt.clone();
-        self.prf = snap.prf.clone();
-        self.ctx = snap.ctx.clone();
-        self.stats = snap.stats;
-        *checkers = snap.checkers.clone();
-        recorder.restore_state(&snap.recorder);
-    }
-
-    /// [`SmtSimulator::restore_observed`] without a recorder.
-    pub fn restore(&mut self, snap: &SmtSnapshot, checkers: &mut CheckerSet) {
-        self.restore_observed(snap, checkers, &mut NullRecorder);
-    }
-
-    /// The core loop: simulates cycles until a stop or `until` (exclusive
-    /// upper cycle bound, typically the budget or a pause point).
+    /// The core loop: simulates cycles until a stop or the `until` cycle
+    /// budget.
     #[allow(clippy::too_many_arguments)]
     fn run_span(
         &mut self,
@@ -451,18 +280,18 @@ impl<'p> SmtSimulator<'p> {
         record: bool,
         until: u64,
         recorder: &mut impl Recorder,
-    ) -> Option<SimStop> {
+    ) -> SimStop {
         while self.cycle < until {
             hook.begin_cycle(self.cycle);
             if let Err(a) = self.frontend(hook, checkers, recorder) {
                 self.end_cycle(hook, checkers, recorder);
-                return Some(SimStop::Assert(a));
+                return SimStop::Assert(a);
             }
             match self.commit(hook, checkers, trace, monitor, record, recorder) {
                 Ok(()) => {}
                 Err(stop) => {
                     self.end_cycle(hook, checkers, recorder);
-                    return Some(stop);
+                    return stop;
                 }
             }
             // In-order delivery of pending architectural faults: once the
@@ -472,17 +301,17 @@ impl<'p> SmtSimulator<'p> {
                 if self.ctx[t].pending.is_empty() {
                     if let Some(cause) = self.ctx[t].crash {
                         self.end_cycle(hook, checkers, recorder);
-                        return Some(SimStop::Crash(cause));
+                        return SimStop::Crash(cause);
                     }
                 }
             }
             let done = self.ctx.iter().all(|c| c.halted && c.pending.is_empty());
             self.end_cycle(hook, checkers, recorder);
             if done {
-                return Some(SimStop::Halted);
+                return SimStop::Halted;
             }
         }
-        None
+        SimStop::CycleLimit
     }
 
     /// Fetch/rename/execute for the thread winning this cycle's slot.
@@ -609,10 +438,14 @@ impl<'p> SmtSimulator<'p> {
             }
             // Rename: one-instruction group, so the thread-select mux is
             // consulted (and corruptible) per renamed instruction.
-            let allocs = self
-                .smt
-                .rename_group(t, &[dest.map(|r| r.index())], hook, checkers)?;
-            let pdst = allocs[0];
+            self.smt.rename_group(
+                t,
+                &[dest.map(|r| r.index())],
+                &mut self.alloc_buf,
+                hook,
+                checkers,
+            )?;
+            let pdst = self.alloc_buf[0];
             if let (Some(v), Some(p)) = (value, pdst) {
                 self.prf_write(p.index(), v);
             }
@@ -904,39 +737,6 @@ mod tests {
             sim.run(&mut NoFaults, &mut cset, None, BUDGET)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn snapshot_fork_resumes_identically() {
-        let (pa, pb) = (fib_program(14), store_program());
-        let cfg = SimConfig::default();
-        let mut cset = checkers(&cfg);
-        let mut sim = SmtSimulator::new([&pa, &pb], cfg);
-        let cold = sim.run(&mut NoFaults, &mut cset, None, BUDGET);
-        assert_eq!(cold.stop, SimStop::Halted);
-        let pause = cold.cycles / 2;
-
-        let mut cset1 = checkers(&cfg);
-        let mut sim1 = SmtSimulator::new([&pa, &pb], cfg);
-        let mut seg1 = sim1.begin_run(None, BUDGET);
-        let stop = seg1.step_until_observed(
-            &mut sim1,
-            &mut NoFaults,
-            &mut cset1,
-            pause,
-            &mut NullRecorder,
-        );
-        assert!(stop.is_none());
-        let snap = sim1.snapshot(&cset1);
-
-        let mut cset2 = CheckerSet::new();
-        let mut sim2 = SmtSimulator::new([&pa, &pb], cfg);
-        sim2.restore(&snap, &mut cset2);
-        let warm = sim2.run(&mut NoFaults, &mut cset2, None, BUDGET);
-        assert_eq!(warm.stop, SimStop::Halted);
-        assert_eq!(warm.cycles, cold.cycles);
-        assert_eq!(warm.outputs, cold.outputs);
-        assert_eq!(warm.final_contents, cold.final_contents);
     }
 
     #[test]

@@ -371,47 +371,3 @@ fn forked_traces_match_cold_traces() {
         );
     }
 }
-
-/// The SMT snapshot-fork identity: pausing a recorded 2-thread run
-/// mid-flight, snapshotting (checkers and recorder included), restoring
-/// into a fresh simulator, and finishing must reproduce the cold run's
-/// digest, per-kind counts and retained tail — including the thread tags
-/// and the round-robin interleave across the fork point.
-#[test]
-fn forked_smt_traces_match_cold_traces() {
-    for scenario in smt_pairs() {
-        let name = &scenario.name;
-        let programs = [&scenario.a.program, &scenario.b.program];
-        let cfg = SimConfig::default();
-
-        let mut cset = smt_checkers(&cfg);
-        let mut sim = SmtSimulator::new(programs, cfg);
-        let mut cold = RingRecorder::default();
-        let res = sim.run_observed(&mut NoFaults, &mut cset, None, BUDGET, &mut cold);
-        assert_eq!(res.stop, SimStop::Halted);
-        let pause = res.cycles / 3;
-
-        let mut cset1 = smt_checkers(&cfg);
-        let mut sim1 = SmtSimulator::new(programs, cfg);
-        let mut rec1 = RingRecorder::default();
-        let mut seg1 = sim1.begin_run(None, BUDGET);
-        let stop = seg1.step_until_observed(&mut sim1, &mut NoFaults, &mut cset1, pause, &mut rec1);
-        assert!(stop.is_none(), "{name}: must pause before completion");
-        let snap = sim1.snapshot_observed(&cset1, &rec1);
-
-        let mut cset2 = CheckerSet::new();
-        let mut sim2 = SmtSimulator::new(programs, cfg);
-        let mut rec2 = RingRecorder::default();
-        sim2.restore_observed(&snap, &mut cset2, &mut rec2);
-        let res2 = sim2.run_observed(&mut NoFaults, &mut cset2, None, BUDGET, &mut rec2);
-        assert_eq!(res2.stop, SimStop::Halted);
-
-        assert_eq!(cold.digest(), rec2.digest(), "{name}: digest must match");
-        assert_eq!(cold.total(), rec2.total(), "{name}: event count must match");
-        assert_eq!(cold.counts(), rec2.counts(), "{name}: per-kind counts");
-        assert!(
-            cold.events().eq(rec2.events()),
-            "{name}: retained tails must be identical"
-        );
-    }
-}
