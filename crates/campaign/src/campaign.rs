@@ -17,7 +17,7 @@
 //!
 //! An injected run is bit-identical to the golden run until its bug
 //! activates, so simulating that prefix thousands of times is pure waste.
-//! The golden capture therefore also takes *lean* snapshots — simulator +
+//! The golden capture therefore also takes snapshots — simulator +
 //! checker state without the memory image — at a stride of cycles
 //! (bounded per workload by [`CampaignConfig::snapshot_max`] via
 //! deterministic stride-doubling thinning), each snapshot tagged with the
@@ -189,7 +189,7 @@ pub struct CampaignConfig {
     pub threads: usize,
     /// Golden-run snapshot stride in cycles; `0` picks automatically.
     pub snapshot_stride: u64,
-    /// Maximum lean snapshots retained per workload. `0` disables capture:
+    /// Maximum snapshots retained per workload. `0` disables capture:
     /// every run simulates from power-on, the cold oracle whose record
     /// stream forked campaigns must reproduce byte for byte.
     pub snapshot_max: usize,
@@ -301,8 +301,9 @@ impl CampaignConfig {
     }
 }
 
-/// A mid-trace capture of the golden run: full simulator + checker state
-/// at `cycle`, plus the control-signal census up to that point.
+/// A mid-trace capture of the golden run: simulator state without memory
+/// plus checker state at `cycle` (a [`SimSnapshot`], restored through the
+/// emulator gate), and the control-signal census up to that point.
 ///
 /// The census counts are what make snapshots *addressable by occurrence*:
 /// an injection armed for the `n`-th occurrence of a site can resume from
@@ -403,35 +404,15 @@ impl GoldenRun {
     /// count would exceed `max`, every second snapshot is dropped and the
     /// stride doubles — deterministic thinning that needs no advance
     /// knowledge of the run length and keeps the survivors evenly spaced.
+    ///
+    /// Snapshots carry no memory image; a fork restores one through
+    /// [`Simulator::restore_from_arch`] with emulator-reconstructed
+    /// memory.
     pub fn capture_with_snapshots(
         workload: &Workload,
         sim_cfg: SimConfig,
         stride: u64,
         max: usize,
-    ) -> Result<GoldenRun, GoldenRunError> {
-        Self::capture_inner(workload, sim_cfg, stride, max, false)
-    }
-
-    /// [`GoldenRun::capture_with_snapshots`] capturing *lean* snapshots —
-    /// no memory image, skipping the dominant cost of a full capture.
-    /// Lean snapshots are restored through
-    /// [`Simulator::restore_from_arch`] with emulator-reconstructed
-    /// memory; this is the capture every campaign forks from.
-    pub fn capture_with_lean_snapshots(
-        workload: &Workload,
-        sim_cfg: SimConfig,
-        stride: u64,
-        max: usize,
-    ) -> Result<GoldenRun, GoldenRunError> {
-        Self::capture_inner(workload, sim_cfg, stride, max, true)
-    }
-
-    fn capture_inner(
-        workload: &Workload,
-        sim_cfg: SimConfig,
-        stride: u64,
-        max: usize,
-        lean: bool,
     ) -> Result<GoldenRun, GoldenRunError> {
         const BUDGET: u64 = 500_000_000;
         /// Initial automatic stride: fine enough to matter for the
@@ -459,11 +440,7 @@ impl GoldenRun {
                         snapshots.push(GoldenSnapshot {
                             cycle: sim.cycle(),
                             counts: census.counts(),
-                            state: if lean {
-                                sim.snapshot_lean(&checkers)
-                            } else {
-                                sim.snapshot(&checkers)
-                            },
+                            state: sim.snapshot(&checkers),
                         });
                         if snapshots.len() > max {
                             // Keep every second snapshot (the ones landing
@@ -1164,7 +1141,7 @@ impl Campaign {
             needed.len(),
             || (),
             |(), ci| {
-                GoldenRun::capture_with_lean_snapshots(
+                GoldenRun::capture_with_snapshots(
                     &workloads[ci % nw],
                     points[ci / nw].sim,
                     self.cfg.snapshot_stride,
@@ -1558,7 +1535,7 @@ mod tests {
 
     #[test]
     fn default_and_cold_campaigns_are_byte_identical() {
-        // The fork guarantee: lean snapshots, emulator-rebuilt memory and
+        // The fork guarantee: snapshots without memory, emulator-rebuilt memory and
         // the arch gate at every hand-off change only wall-clock, never a
         // byte of the record stream — at any worker count. The cold
         // oracle (`snapshot_max: 0`) simulates every run from power-on.
@@ -1629,15 +1606,17 @@ mod tests {
             let mut seg = sim.begin_run(Some(&golden.trace), golden.timeout_budget());
             let stop = seg.run_to_end(&mut sim, &mut hook, &mut checkers, None);
             let fin = sim.snapshot(&checkers);
-            results.push((seg.finish(&mut sim, stop, &mut checkers), fin));
+            let mem = sim.mem().clone();
+            results.push((seg.finish(&mut sim, stop, &mut checkers), fin, mem));
         }
-        let (slow_res, slow_fin) = &results[0];
-        let (fast_res, fast_fin) = &results[1];
+        let (slow_res, slow_fin, slow_mem) = &results[0];
+        let (fast_res, fast_fin, fast_mem) = &results[1];
         assert_eq!(fast_res.stop, slow_res.stop);
         assert_eq!(fast_res.cycles, slow_res.cycles);
         assert_eq!(fast_res.output, slow_res.output);
         assert_eq!(fast_res.stats, slow_res.stats);
         assert!(fast_fin.state_eq(slow_fin), "final machine state diverged");
+        assert_eq!(fast_mem, slow_mem, "final memory diverged");
     }
 
     #[test]

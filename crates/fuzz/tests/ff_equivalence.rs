@@ -12,10 +12,11 @@
 //!   `records.csv` must be byte-identical and every forked run must have
 //!   passed the arch gate.
 //! * [`ff_forks_emit_byte_identical_traces`] — single injected runs with
-//!   a [`RingRecorder`] attached: a fork restored from a full snapshot
-//!   and one restored from its lean twin through the emulator must emit
-//!   the exact same event stream (FNV digest, totals, per-kind counts,
-//!   retained tail) and the same run result.
+//!   a [`RingRecorder`] attached: a fork restored from a golden snapshot
+//!   through the emulator, recording into a clone of the cold run's
+//!   recorder paused at the fork cycle, must emit the exact same event
+//!   stream as the cold run (FNV digest, totals, per-kind counts,
+//!   retained tail), with the same run result and detections.
 //! * [`block_engine_matches_single_step_on_random_programs`] — the
 //!   emulator's pre-decoded block engine vs the single-step interpreter
 //!   over the same random program space: identical registers, memory,
@@ -176,53 +177,46 @@ fn ff_forks_emit_byte_identical_traces() {
     for (i, w) in random_workloads(0x7ace).iter().enumerate() {
         // Fine stride: generated programs are much shorter than the suite
         // workloads the automatic stride is tuned for.
-        let full = GoldenRun::capture_with_snapshots(w, sim_cfg, 64, 64).expect("golden");
-        let lean = GoldenRun::capture_with_lean_snapshots(w, sim_cfg, 64, 64).expect("golden");
-        assert_eq!(full.snapshots.len(), lean.snapshots.len(), "{}", w.name);
+        let golden = GoldenRun::capture_with_snapshots(w, sim_cfg, 64, 64).expect("golden");
 
         let mut rng = iter_rng(SEED ^ 0x7ace, i as u64);
         let model = BugModel::ALL[i % BugModel::ALL.len()];
-        let Some(spec) = BugSpec::sample(model, &full.census, sim_cfg.rrs.pdst_bits(), &mut rng)
+        let Some(spec) = BugSpec::sample(model, &golden.census, sim_cfg.rrs.pdst_bits(), &mut rng)
         else {
             continue;
         };
-        let (Some(fsnap), Some(lsnap)) = (full.snapshot_for(&spec), lean.snapshot_for(&spec))
-        else {
+        let Some(snap) = golden.snapshot_for(&spec) else {
             continue; // cold either way: trivially equivalent
         };
-        assert_eq!(fsnap.cycle, lsnap.cycle, "{}: same fork point", w.name);
-        assert!(
-            !lsnap.state.has_mem(),
-            "{}: lean capture stripped memory",
-            w.name
-        );
         forked += 1;
 
-        // Fork A: the full snapshot, memory restored from the capture.
+        // The cold injected run, paused at the fork cycle: its recorder
+        // there is the one a fork resumes from.
         let mut chk_a = checkers_for();
         let mut rec_a = RingRecorder::new(512);
         let mut sim_a = Simulator::new(&w.program, sim_cfg);
-        sim_a.restore_observed(&fsnap.state, &mut chk_a, &mut rec_a);
-        let mut hook_a =
-            SingleShotHook::resumed(spec, fsnap.counts[spec.site.index()], fsnap.cycle);
-        let mut seg_a = sim_a.begin_run(Some(&full.trace), full.timeout_budget());
+        let mut hook_a = SingleShotHook::new(spec);
+        let mut seg_a = sim_a.begin_run(Some(&golden.trace), golden.timeout_budget());
+        let paused =
+            seg_a.step_until_observed(&mut sim_a, &mut hook_a, &mut chk_a, snap.cycle, &mut rec_a);
+        assert_eq!(paused, None, "{}: cold run reaches the fork", w.name);
+        assert_eq!(sim_a.cycle(), snap.cycle, "{}: same fork point", w.name);
+        let mut rec_b = rec_a.clone();
         let stop_a = seg_a.run_to_end_observed(&mut sim_a, &mut hook_a, &mut chk_a, &mut rec_a);
         let res_a = seg_a.finish(&mut sim_a, stop_a, &mut chk_a);
 
-        // Fork B: the lean snapshot, memory rebuilt by the emulator,
-        // admitted through the bit-exactness gate.
+        // The fork: memory rebuilt by the emulator, admitted through the
+        // bit-exactness gate, recording into the clone.
         let mut emu = Emulator::new(&w.program);
-        emu.run_to_step(lsnap.state.committed())
+        emu.run_to_step(snap.state.committed())
             .expect("clean prefix");
-        let mut chk_b = checkers_for();
-        let mut rec_b = RingRecorder::new(512);
+        let mut chk_b = CheckerSet::new();
         let mut sim_b = Simulator::new(&w.program, sim_cfg);
         sim_b
-            .restore_from_arch_observed(&lsnap.state, &emu, &mut chk_b, &mut rec_b)
+            .restore_from_arch(&snap.state, &emu, &mut chk_b)
             .expect("arch gate passes on the golden prefix");
-        let mut hook_b =
-            SingleShotHook::resumed(spec, lsnap.counts[spec.site.index()], lsnap.cycle);
-        let mut seg_b = sim_b.begin_run(Some(&lean.trace), lean.timeout_budget());
+        let mut hook_b = SingleShotHook::resumed(spec, snap.counts[spec.site.index()], snap.cycle);
+        let mut seg_b = sim_b.begin_run(Some(&golden.trace), golden.timeout_budget());
         let stop_b = seg_b.run_to_end_observed(&mut sim_b, &mut hook_b, &mut chk_b, &mut rec_b);
         let res_b = seg_b.finish(&mut sim_b, stop_b, &mut chk_b);
 

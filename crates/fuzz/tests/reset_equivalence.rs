@@ -10,8 +10,7 @@
 //! single-shot injections back to back with a reset after each. Every
 //! run must produce a [`RunResult`], checker verdicts and final state
 //! identical to the same run on a new simulator, and every reset must
-//! leave a full snapshot (memory bytes included) equal to that of
-//! `Simulator::new`.
+//! leave a snapshot and memory equal to those of `Simulator::new`.
 //!
 //! The runs before a reset must include wild stores (memory written
 //! where the golden run leaves the initial image), crashes and timeouts,
@@ -20,7 +19,7 @@
 //! Forks carry the same obligation. A fork restores memory from the
 //! in-order emulator by copying only the pages dirty in either image, so
 //! a page the previous run dirtied but the emulator never wrote must come
-//! back too. The second test forks golden lean snapshots onto a simulator
+//! back too. The second test forks golden snapshots onto a simulator
 //! that just ran an injected run and compares each fork with the same
 //! fork on a new simulator.
 
@@ -78,14 +77,14 @@ fn injected_run(
 /// The campaign's fork of an injected run: the emulator replays the
 /// golden prefix up to `snap`, the simulator restores over whatever state
 /// it holds, and the hook resumes at the snapshot's census count. Returns
-/// the simulator's full snapshot (memory included) right after the
-/// restore, then the run's result and detections.
+/// the simulator's snapshot and memory right after the restore, then the
+/// run's result and detections.
 fn forked_run(
     sim: &mut Simulator<'_>,
     golden: &GoldenRun,
     snap: &GoldenSnapshot,
     spec: BugSpec,
-) -> (SimSnapshot, RunResult, [Option<u64>; 3]) {
+) -> (SimSnapshot, Memory, RunResult, [Option<u64>; 3]) {
     let mut emu = Emulator::new(&golden.workload.program);
     emu.run_to_step(snap.state.committed())
         .expect("the golden prefix replays");
@@ -93,6 +92,7 @@ fn forked_run(
     sim.restore_from_arch(&snap.state, &emu, &mut c)
         .expect("bit-exactness gate");
     let restored = sim.snapshot(&c);
+    let restored_mem = sim.mem().clone();
     let mut hook = SingleShotHook::resumed(spec, snap.counts[spec.site.index()], snap.cycle);
     let res = sim.run(
         &mut hook,
@@ -101,7 +101,7 @@ fn forked_run(
         golden.timeout_budget(),
     );
     let det = ["idld", "bv", "counter"].map(|n| c.detection_of(n).map(|d| d.cycle));
-    (restored, res, det)
+    (restored, restored_mem, res, det)
 }
 
 /// The memory a bug-free run of `golden`'s program ends with.
@@ -171,6 +171,12 @@ fn reset_is_indistinguishable_from_new_after_injected_runs() {
                 "{}: end state of {spec:?} after a reset of {prev:?}",
                 w.name
             );
+            assert_eq!(
+                sim.mem(),
+                fresh.mem(),
+                "{}: end memory of {spec:?} after a reset of {prev:?}",
+                w.name
+            );
             runs += 1;
             let stop = got.0.stop;
             wild += usize::from(wrote_wild(&initial, &golden_end, sim.mem()));
@@ -222,7 +228,7 @@ fn fork_onto_a_dirtied_simulator_is_indistinguishable_from_new() {
         let cfg = SimConfig::with_width(WIDTHS[iter as usize % WIDTHS.len()]);
         // A stride of a few dozen cycles gives the short generated
         // programs several snapshots each.
-        let Ok(golden) = GoldenRun::capture_with_lean_snapshots(&w, cfg, 24, 16) else {
+        let Ok(golden) = GoldenRun::capture_with_snapshots(&w, cfg, 24, 16) else {
             continue;
         };
         if golden.snapshots.is_empty() {
@@ -260,8 +266,13 @@ fn fork_onto_a_dirtied_simulator_is_indistinguishable_from_new() {
                 snap.cycle
             );
             assert_eq!(
-                (got.1, got.2),
-                (want.1, want.2),
+                got.1, want.1,
+                "{}: memory restored at cycle {} over a run of {dirty_spec:?}",
+                w.name, snap.cycle
+            );
+            assert_eq!(
+                (got.2, got.3),
+                (want.2, want.3),
                 "{}: {spec:?} forked at cycle {} over a run of {dirty_spec:?}",
                 w.name,
                 snap.cycle
@@ -269,6 +280,12 @@ fn fork_onto_a_dirtied_simulator_is_indistinguishable_from_new() {
             assert!(
                 sim.snapshot(&empty).state_eq(&fresh.snapshot(&empty)),
                 "{}: end state of {spec:?} forked over a run of {dirty_spec:?}",
+                w.name
+            );
+            assert_eq!(
+                sim.mem(),
+                fresh.mem(),
+                "{}: end memory of {spec:?} forked over a run of {dirty_spec:?}",
                 w.name
             );
             forks += 1;

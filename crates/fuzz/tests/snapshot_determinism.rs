@@ -3,17 +3,19 @@
 //! For random generated programs (reusing the differential fuzzer's
 //! generator), run the simulator to completion, then rerun it pausing at
 //! a random mid-run cycle, snapshot, fork the snapshot into a *fresh*
-//! simulator and continue. The forked continuation must be bit-for-bit
-//! identical to the uninterrupted run: stop reason, cycle count, commit
-//! trace, outputs, statistics, final architectural/microarchitectural
-//! state and checker verdicts. This is the property the campaign engine's
+//! simulator (memory rebuilt by the in-order emulator behind the
+//! bit-exactness gate) and continue. The forked continuation must be
+//! bit-for-bit identical to the uninterrupted run: stop reason, cycle
+//! count, commit trace, outputs, statistics, final
+//! architectural/microarchitectural state, memory and checker verdicts. This is the property the campaign engine's
 //! snapshot-and-fork execution rests on, probed across the generator's
 //! full program space (wild memory, deep loops, calls, crashes included).
 
 use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
 use idld_fuzz::{generate, iter_rng, GenConfig};
+use idld_isa::{Emulator, Program};
 use idld_rrs::NoFaults;
-use idld_sim::{SimConfig, Simulator};
+use idld_sim::{SimConfig, SimSnapshot, Simulator};
 use rand::Rng;
 
 const SEED: u64 = 0x51AB_5407;
@@ -26,6 +28,16 @@ fn checkers_for(cfg: &SimConfig) -> CheckerSet {
     c.push(Box::new(BitVectorChecker::new(&cfg.rrs)));
     c.push(Box::new(CounterChecker::new(&cfg.rrs)));
     c
+}
+
+/// Restores `snap` into `fork` through the emulator gate.
+fn restore(fork: &mut Simulator<'_>, program: &Program, snap: &SimSnapshot) -> CheckerSet {
+    let mut emu = Emulator::new(program);
+    emu.run_to_step(snap.committed()).expect("clean prefix");
+    let mut checkers = CheckerSet::new();
+    fork.restore_from_arch(snap, &emu, &mut checkers)
+        .expect("bit-exactness gate");
+    checkers
 }
 
 #[test]
@@ -64,9 +76,9 @@ fn forked_runs_match_uninterrupted_runs() {
         let snap = sim.snapshot(&checkers);
 
         // Fork into a fresh simulator and run to the end.
-        let mut fork_checkers = CheckerSet::new();
         let mut fork = Simulator::new(&program, sim_cfg);
-        fork.restore(&snap, &mut fork_checkers);
+        let mut fork_checkers = restore(&mut fork, &program, &snap);
+        assert_eq!(fork.mem(), sim.mem(), "iter {iter}: restored memory");
         let mut fseg = fork.begin_run(None, BUDGET);
         let stop = fseg.run_to_end(&mut fork, &mut NoFaults, &mut fork_checkers, None);
         let fork_final = fork.snapshot(&fork_checkers);
@@ -96,6 +108,7 @@ fn forked_runs_match_uninterrupted_runs() {
             fork_final.state_eq(&ref_final),
             "iter {iter}: final simulator state diverged (pause {pause})"
         );
+        assert_eq!(fork.mem(), ref_sim.mem(), "iter {iter}: final memory");
         assert_eq!(
             fork_checkers.detections(),
             ref_checkers.detections(),
@@ -113,10 +126,11 @@ fn forked_runs_match_uninterrupted_runs() {
 }
 
 /// The same fork==cold property, extended to the observability layer:
-/// with a [`RingRecorder`] attached, the snapshot carries the recorder's
-/// replayable state, so a forked continuation must reproduce the *exact*
-/// event stream — whole-run FNV digest, total and per-kind counts, and
-/// the retained ring tail — of the uninterrupted recorded run.
+/// with a [`RingRecorder`] attached, the fork records into a clone of the
+/// paused run's recorder, so a forked continuation must reproduce the
+/// *exact* event stream — whole-run FNV digest, total and per-kind
+/// counts, and the retained ring tail — of the uninterrupted recorded
+/// run, and the same final memory.
 #[test]
 fn forked_traces_match_uninterrupted_traces() {
     use idld_obs::RingRecorder;
@@ -143,8 +157,8 @@ fn forked_traces_match_uninterrupted_traces() {
         }
         tested += 1;
 
-        // Pause mid-run, snapshot including recorder state, fork into a
-        // fresh simulator + fresh recorder, finish.
+        // Pause mid-run, snapshot, fork into a fresh simulator and a
+        // clone of the paused recorder, finish.
         let pause = rng.gen_range(1..ref_res.cycles);
         let mut checkers = checkers_for(&sim_cfg);
         let mut rec = RingRecorder::new(512);
@@ -156,12 +170,11 @@ fn forked_traces_match_uninterrupted_traces() {
             "iter {iter}: pause {pause} < end {}",
             ref_res.cycles
         );
-        let snap = sim.snapshot_observed(&checkers, &rec);
+        let snap = sim.snapshot(&checkers);
 
-        let mut fork_checkers = CheckerSet::new();
-        let mut fork_rec = RingRecorder::new(512);
+        let mut fork_rec = rec.clone();
         let mut fork = Simulator::new(&program, sim_cfg);
-        fork.restore_observed(&snap, &mut fork_checkers, &mut fork_rec);
+        let mut fork_checkers = restore(&mut fork, &program, &snap);
         let mut fseg = fork.begin_run(None, BUDGET);
         let stop =
             fseg.run_to_end_observed(&mut fork, &mut NoFaults, &mut fork_checkers, &mut fork_rec);
@@ -169,6 +182,7 @@ fn forked_traces_match_uninterrupted_traces() {
 
         assert_eq!(fork_res.stop, ref_res.stop, "iter {iter}: stop reason");
         assert_eq!(fork_res.cycles, ref_res.cycles, "iter {iter}: cycles");
+        assert_eq!(fork.mem(), ref_sim.mem(), "iter {iter}: final memory");
         assert_eq!(
             fork_rec.digest(),
             ref_rec.digest(),

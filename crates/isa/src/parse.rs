@@ -29,7 +29,7 @@
 //! ```
 
 use crate::inst::{AluOp, BrCond, Inst};
-use crate::program::{Program, DEFAULT_MEM_SIZE};
+use crate::program::{Program, DEFAULT_MEM_SIZE, MAX_MEM_SIZE};
 use crate::reg::{ArchReg, NUM_ARCH_REGS};
 use std::collections::HashMap;
 use std::fmt;
@@ -157,7 +157,10 @@ const BRANCHES: [(&str, BrCond); 6] = [
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for any syntax
-/// problem, unknown mnemonic, bad operand or undefined label.
+/// problem, unknown mnemonic, bad operand or undefined label, for a
+/// `.mem` size outside `1..=`[`MAX_MEM_SIZE`], for a data cursor that
+/// overflows, and for a `.u64`/`.bytes` image not wholly inside memory —
+/// so a parsed program always builds its memory.
 pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
     struct PendingTarget {
         at: usize,
@@ -168,6 +171,7 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
     let mut labels: HashMap<String, usize> = HashMap::new();
     let mut fixups: Vec<PendingTarget> = Vec::new();
     let mut image: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut image_lines: Vec<usize> = Vec::new();
     let mut mem_size = DEFAULT_MEM_SIZE;
     let mut name = String::new();
     let mut data_cursor: u64 = 0;
@@ -224,7 +228,14 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
             }
             ".mem" => {
                 want(1)?;
-                mem_size = parse_imm(&operands[0], line)? as usize;
+                let size = parse_imm(&operands[0], line)?;
+                if !(1..=MAX_MEM_SIZE as i64).contains(&size) {
+                    return Err(err(
+                        line,
+                        format!("memory size {size} not in 1..={MAX_MEM_SIZE}"),
+                    ));
+                }
+                mem_size = size as usize;
                 continue;
             }
             ".data" => {
@@ -232,28 +243,24 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
                 data_cursor = parse_imm(&operands[0], line)? as u64;
                 continue;
             }
-            ".u64" => {
+            ".u64" | ".bytes" => {
                 let mut bytes = Vec::new();
-                for tok in rest[".u64".len()..].split_whitespace() {
-                    bytes.extend_from_slice(&(parse_imm(tok, line)? as u64).to_le_bytes());
-                }
-                let len = bytes.len() as u64;
-                image.push((data_cursor, bytes));
-                data_cursor += len;
-                continue;
-            }
-            ".bytes" => {
-                let mut bytes = Vec::new();
-                for tok in rest[".bytes".len()..].split_whitespace() {
+                for tok in rest[mnemonic.len()..].split_whitespace() {
                     let v = parse_imm(tok, line)?;
-                    if !(0..=255).contains(&v) {
+                    if mnemonic == ".u64" {
+                        bytes.extend_from_slice(&(v as u64).to_le_bytes());
+                    } else if (0..=255).contains(&v) {
+                        bytes.push(v as u8);
+                    } else {
                         return Err(err(line, format!("byte out of range: `{tok}`")));
                     }
-                    bytes.push(v as u8);
                 }
-                let len = bytes.len() as u64;
-                image.push((data_cursor, bytes));
-                data_cursor += len;
+                let start = data_cursor;
+                data_cursor = data_cursor
+                    .checked_add(bytes.len() as u64)
+                    .ok_or_else(|| err(line, "data cursor overflows"))?;
+                image.push((start, bytes));
+                image_lines.push(line);
                 continue;
             }
             _ => {}
@@ -396,6 +403,15 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
         match &mut insts[f.at] {
             Inst::Br { target, .. } | Inst::Jal { target, .. } => *target = pc,
             other => unreachable!("fixup on non-control {other}"),
+        }
+    }
+
+    // Checked once `.mem` is final: it may follow the data directives.
+    for ((addr, bytes), &line) in image.iter().zip(&image_lines) {
+        let len = bytes.len();
+        if addr + len as u64 > mem_size as u64 {
+            let msg = format!("{len} bytes at {addr:#x} lie outside the {mem_size}-byte memory");
+            return Err(err(line, msg));
         }
     }
 
@@ -565,6 +581,28 @@ mod tests {
 
         let e = parse_asm("add r1, r2").unwrap_err();
         assert!(e.message.contains("3 operands"));
+    }
+
+    #[test]
+    fn sources_that_cannot_build_their_memory_are_rejected() {
+        for (src, line, what) in [
+            (".data 0x200000\n.u64 1\nhalt", 2, "outside"),
+            (".mem 16\n.u64 1 2 3\nhalt", 2, "outside"),
+            (".mem -1\nhalt", 1, "memory size"),
+            (".data -8\n.u64 1\nhalt", 2, "overflows"),
+            // Never built: the parser alone must refuse a 64 GiB memory.
+            (".mem 0x1000000000\nhalt", 1, "memory size"),
+        ] {
+            let e = parse_asm(src).expect_err(src);
+            assert_eq!(e.line, line, "{src}: {e}");
+            assert!(e.message.contains(what), "{src}: {e}");
+        }
+        // An image that ends exactly at the end of memory still builds,
+        // whichever order `.mem` and the data come in.
+        for src in [".mem 16\n.u64 0 1\nhalt", ".data 8\n.u64 1\n.mem 16\nhalt"] {
+            let p = parse_asm(src).expect(src);
+            assert_eq!(p.build_memory().read_image(8, 8), 1u64.to_le_bytes());
+        }
     }
 
     #[test]

@@ -6,6 +6,12 @@ use crate::mem::Memory;
 /// Default data memory size for programs: 1 MiB.
 pub const DEFAULT_MEM_SIZE: usize = 1 << 20;
 
+/// Largest data memory a textual source may declare with `.mem`: 64 MiB,
+/// far above the [`DEFAULT_MEM_SIZE`] every workload and generated
+/// program uses, and small enough that building it cannot exhaust the
+/// host.
+pub const MAX_MEM_SIZE: usize = 1 << 26;
+
 /// A complete executable: instruction stream, initial data image and memory
 /// size. Produced by [`crate::asm::Asm::finish`], consumed by the
 /// architectural emulator and the out-of-order simulator.

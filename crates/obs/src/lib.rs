@@ -9,9 +9,8 @@
 //!    every probe compiles to nothing, with [`RingRecorder`] the run
 //!    produces a bounded ring of recent events plus exact aggregate
 //!    counts and a streaming FNV-1a digest over the whole stream.
-//!    Recorder state snapshots/restores alongside simulator state, so
-//!    campaign runs forked from a mid-run snapshot emit byte-identical
-//!    traces to cold runs.
+//!    A recorded run forks its recorder by cloning it, so runs forked
+//!    from a mid-run snapshot emit byte-identical traces to cold runs.
 //! 2. **Metrics** ([`metrics`]): a name-keyed counters/histograms
 //!    registry, aggregated per run, rolled up per campaign cell, and
 //!    exported as deterministic CSV + hand-rolled JSON.
@@ -38,9 +37,7 @@ pub use chrome::chrome_trace;
 pub use compact::{compact_trace, parse_digest, DEFAULT_TAIL, FORMAT_VERSION};
 pub use event::{EventKind, Fnv64, ObsEvent, TimedEvent};
 pub use metrics::{Histogram, MetricsRegistry, METRICS_CSV_HEADER};
-pub use record::{
-    NullRecorder, Recorder, RecorderState, RingRecorder, RingState, DEFAULT_RING_CAPACITY,
-};
+pub use record::{NullRecorder, Recorder, RingRecorder, DEFAULT_RING_CAPACITY};
 
 /// A passive consumer of the event stream, for components that derive
 /// state from events without owning the recorder (e.g. the simulator's

@@ -9,10 +9,11 @@
 //! *entire* event stream (not just the retained tail), so two runs whose
 //! digests agree recorded identical traces even when the ring wrapped.
 //!
-//! Recorder state participates in snapshot/fork: [`Recorder::state`] /
-//! [`Recorder::restore_state`] round-trip everything (ring contents,
-//! counts, digest, dedup state) so a run forked from a snapshot emits a
-//! byte-identical trace to a cold run paused at the same cycle.
+//! Recorders stay out of simulator snapshots. A recorded run forks its
+//! recorder by cloning it: a [`RingRecorder`] clone carries the ring,
+//! counts, digest and dedup state, so a run forked from a snapshot into
+//! the clone emits a byte-identical trace to a cold run paused at the
+//! same cycle.
 
 use std::collections::VecDeque;
 
@@ -32,12 +33,6 @@ pub trait Recorder {
     /// Records one event stamped with the cycle it occurred in. Cycles
     /// must be non-decreasing across calls.
     fn record(&mut self, cycle: u64, ev: ObsEvent);
-
-    /// Captures the recorder's full replayable state for a snapshot.
-    fn state(&self) -> RecorderState;
-
-    /// Restores state previously captured by [`Recorder::state`].
-    fn restore_state(&mut self, state: &RecorderState);
 }
 
 /// The recorder that records nothing. All methods are trivially inlinable
@@ -53,43 +48,12 @@ impl Recorder for NullRecorder {
 
     #[inline(always)]
     fn record(&mut self, _cycle: u64, _ev: ObsEvent) {}
-
-    #[inline]
-    fn state(&self) -> RecorderState {
-        RecorderState::Null
-    }
-
-    #[inline]
-    fn restore_state(&mut self, _state: &RecorderState) {}
-}
-
-/// Snapshot of a recorder, stored inside simulator snapshots so forked
-/// runs resume recording exactly where the golden run paused.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum RecorderState {
-    /// No recording state (the [`NullRecorder`], or a snapshot taken
-    /// through the non-observed entry points).
-    Null,
-    /// Full [`RingRecorder`] state.
-    Ring(Box<RingState>),
-}
-
-/// The replayable innards of a [`RingRecorder`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RingState {
-    ring: Vec<TimedEvent>,
-    counts: [u64; EventKind::COUNT],
-    total: u64,
-    digest: Fnv64,
-    last_code: Option<u32>,
-    detected: Vec<&'static str>,
-    injected: bool,
 }
 
 /// Ring-buffered event sink with exact aggregate statistics.
 ///
-/// Two stream-shaping rules live here rather than in the simulator so
-/// they survive snapshot/fork unchanged:
+/// Three stream-shaping rules live here rather than in the simulator so
+/// a clone carries them across a fork unchanged:
 ///
 /// * [`ObsEvent::CheckerCode`] events are deduplicated — only value
 ///   *changes* are recorded, turning the per-cycle XOR poll into a delta
@@ -167,17 +131,6 @@ impl RingRecorder {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-
-    /// Clears all recorded state, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.counts = [0; EventKind::COUNT];
-        self.total = 0;
-        self.digest = Fnv64::new();
-        self.last_code = None;
-        self.detected.clear();
-        self.injected = false;
-    }
 }
 
 impl Recorder for RingRecorder {
@@ -222,35 +175,6 @@ impl Recorder for RingRecorder {
         }
         self.ring.push_back(TimedEvent { cycle, ev });
     }
-
-    fn state(&self) -> RecorderState {
-        RecorderState::Ring(Box::new(RingState {
-            ring: self.ring.iter().copied().collect(),
-            counts: self.counts,
-            total: self.total,
-            digest: self.digest,
-            last_code: self.last_code,
-            detected: self.detected.clone(),
-            injected: self.injected,
-        }))
-    }
-
-    fn restore_state(&mut self, state: &RecorderState) {
-        match state {
-            RecorderState::Null => self.clear(),
-            RecorderState::Ring(s) => {
-                self.ring.clear();
-                self.ring.extend(s.ring.iter().copied());
-                self.counts = s.counts;
-                self.total = s.total;
-                self.digest = s.digest;
-                self.last_code = s.last_code;
-                self.detected.clear();
-                self.detected.extend_from_slice(&s.detected);
-                self.injected = s.injected;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,7 +190,6 @@ mod tests {
         let mut r = NullRecorder;
         assert!(!r.enabled());
         r.record(0, issue(1));
-        assert_eq!(r.state(), RecorderState::Null);
     }
 
     #[test]
@@ -326,19 +249,16 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_resumes_identically() {
-        // Record a prefix, snapshot, diverge one copy, restore the other,
-        // then replay the same suffix into both: streams must agree.
+    fn clone_resumes_identically() {
+        // Record a prefix, fork it by clone, then replay the same suffix
+        // into both: the clone carries the dedup state, so the streams
+        // agree.
         let mut cold = RingRecorder::new(8);
         for i in 0..6 {
             cold.record(i, issue(i));
         }
         cold.record(6, ObsEvent::CheckerCode { code: 3 });
-        let snap = cold.state();
-
-        let mut forked = RingRecorder::new(8);
-        forked.record(0, issue(99)); // garbage overwritten by restore
-        forked.restore_state(&snap);
+        let mut forked = cold.clone();
 
         let suffix = [
             (7, ObsEvent::CheckerCode { code: 3 }), // deduped in both

@@ -9,7 +9,7 @@ use idld_core::CheckerSet;
 use idld_isa::reg::NUM_ARCH_REGS;
 use idld_isa::{Emulator, Inst, Memory, Program};
 use idld_mdp::{StoreSets, StoreTag};
-use idld_obs::{Consume, NullRecorder, ObsEvent, Recorder, RecorderState};
+use idld_obs::{Consume, NullRecorder, ObsEvent, Recorder};
 use idld_rrs::{FaultHook, Idiom, PhysReg, RenameRequest, Rrs};
 use std::collections::VecDeque;
 
@@ -152,10 +152,10 @@ impl FetchDecode {
 ///
 /// Drive it with [`Simulator::run`]. A run leaves the machine in its end
 /// state, so one simulator serves many runs of its program, each started
-/// from a defined state: [`Simulator::reset`] for power-on, or a restore
-/// ([`Simulator::restore`], [`Simulator::restore_from_arch`]) to fork
-/// from a snapshot. Every run hands its output stream to the
-/// [`RunResult`]. See the crate docs for the pipeline model.
+/// from a defined state: [`Simulator::reset`] for power-on, or
+/// [`Simulator::restore_from_arch`] to fork from a snapshot. Every run
+/// hands its output stream to the [`RunResult`]. See the crate docs for
+/// the pipeline model.
 #[derive(Debug)]
 pub struct Simulator<'p> {
     prog: &'p Program,
@@ -463,47 +463,18 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Captures the complete mutable state of this simulator plus the
-    /// attached `checkers`, such that [`Simulator::restore`] continues
+    /// Captures the mutable state of this simulator, except data memory,
+    /// plus the attached `checkers`. [`Simulator::restore_from_arch`]
+    /// rebuilds memory from the in-order emulator and continues
     /// bit-for-bit identically to never having stopped.
     ///
     /// Must be taken at a cycle boundary (between [`SegmentedRun::step_until`]
     /// segments, or before a run starts) — mid-cycle there is transient
-    /// state outside the captured set.
+    /// state outside the captured set. A recorded run forks its recorder
+    /// by cloning it alongside the snapshot.
     pub fn snapshot(&self, checkers: &CheckerSet) -> SimSnapshot {
-        self.snapshot_observed(checkers, &NullRecorder)
-    }
-
-    /// [`Simulator::snapshot`] that additionally captures the attached
-    /// recorder's state, so a run forked from the snapshot resumes the
-    /// event stream mid-trace and emits bytes identical to a cold run.
-    pub fn snapshot_observed(
-        &self,
-        checkers: &CheckerSet,
-        recorder: &impl Recorder,
-    ) -> SimSnapshot {
-        self.snapshot_with(checkers, recorder, true)
-    }
-
-    /// [`Simulator::snapshot`] without the memory image — a *lean*
-    /// snapshot that never pays the memory clone (the dominant cost of a
-    /// full capture). Restorable only through
-    /// [`Simulator::restore_from_arch`], which reconstructs memory from
-    /// the in-order emulator and runs the bit-exactness gate.
-    pub fn snapshot_lean(&self, checkers: &CheckerSet) -> SimSnapshot {
-        self.snapshot_with(checkers, &NullRecorder, false)
-    }
-
-    fn snapshot_with(
-        &self,
-        checkers: &CheckerSet,
-        recorder: &impl Recorder,
-        with_mem: bool,
-    ) -> SimSnapshot {
         SimSnapshot {
-            recorder: recorder.state(),
             rrs: self.rrs.clone(),
-            mem: with_mem.then(|| self.mem.clone()),
             prf: self.prf.clone(),
             ready: self.ready.clone(),
             window: self.window.clone(),
@@ -524,19 +495,31 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Restores state captured by [`Simulator::snapshot`], replacing
-    /// `checkers` with the captured checker state. The simulator must have
-    /// been created for the same program and configuration the snapshot
-    /// was taken under.
+    /// [`Simulator::restore_from_arch`] with an emulator this call runs
+    /// from power-on to the snapshot's committed instruction count.
+    ///
+    /// This shim stays only for the repository benchmark's per-layer
+    /// replay; it goes when that replay is deleted (ROADMAP item 1(e)).
+    ///
+    /// # Panics
+    ///
+    /// If the bit-exactness gate refuses the snapshot — for instance one
+    /// taken on another program.
     pub fn restore(&mut self, snap: &SimSnapshot, checkers: &mut CheckerSet) {
-        self.restore_observed(snap, checkers, &mut NullRecorder)
+        let mut emu = Emulator::new(self.prog);
+        // An emulator that stops short fails the gate's step check.
+        let _ = emu.run_to_step(snap.committed());
+        if let Err(d) = self.restore_from_arch(snap, &emu, checkers) {
+            panic!("fast-forward bit-exactness gate: {d}");
+        }
     }
 
-    /// Restores a *lean* snapshot (one taken by
-    /// [`Simulator::snapshot_lean`], without memory), reconstructing data
+    /// Restores a snapshot taken by [`Simulator::snapshot`], replacing
+    /// `checkers` with the captured checker state and reconstructing data
     /// memory from an in-order emulator advanced to exactly the
     /// snapshot's committed instruction count — the fast-forward engine
-    /// hand-off.
+    /// hand-off. The simulator must have been created for the same
+    /// program and configuration the snapshot was taken under.
     ///
     /// Stores are applied to memory at commit, so the emulator's memory
     /// after `snap.committed()` architectural steps *is* the simulator's
@@ -544,57 +527,15 @@ impl<'p> Simulator<'p> {
     /// bit-exactness gate ([`SimSnapshot::verify_arch`]) cross-checks the
     /// emulator's registers, output and pc against the snapshot's committed
     /// view; any disagreement means the two engines diverged
-    /// architecturally and the restore is refused. Also accepts full
-    /// snapshots (the captured memory then wins, but the gate still runs).
+    /// architecturally and the restore is refused.
     pub fn restore_from_arch(
         &mut self,
         snap: &SimSnapshot,
         emu: &Emulator,
         checkers: &mut CheckerSet,
     ) -> Result<(), FfDivergence> {
-        self.restore_from_arch_observed(snap, emu, checkers, &mut NullRecorder)
-    }
-
-    /// [`Simulator::restore_from_arch`] that additionally restores
-    /// `recorder`, so fast-forwarded observed runs emit byte-identical
-    /// traces.
-    pub fn restore_from_arch_observed(
-        &mut self,
-        snap: &SimSnapshot,
-        emu: &Emulator,
-        checkers: &mut CheckerSet,
-        recorder: &mut impl Recorder,
-    ) -> Result<(), FfDivergence> {
         snap.verify_arch(emu)?;
-        recorder.restore_state(&snap.recorder);
-        match &snap.mem {
-            Some(m) => self.mem.restore_from(m),
-            None => self.mem.restore_from(emu.mem()),
-        }
-        self.restore_except_mem(snap, checkers);
-        Ok(())
-    }
-
-    /// [`Simulator::restore`] that additionally restores `recorder` to the
-    /// state captured by [`Simulator::snapshot_observed`].
-    pub fn restore_observed(
-        &mut self,
-        snap: &SimSnapshot,
-        checkers: &mut CheckerSet,
-        recorder: &mut impl Recorder,
-    ) {
-        let mem = snap
-            .mem
-            .as_ref()
-            .expect("lean snapshot (memory stripped) requires restore_from_arch");
-        recorder.restore_state(&snap.recorder);
-        self.mem.restore_from(mem);
-        self.restore_except_mem(snap, checkers);
-    }
-
-    /// The memory-independent tail of [`Simulator::restore_observed`],
-    /// shared with [`Simulator::restore_from_arch`].
-    fn restore_except_mem(&mut self, snap: &SimSnapshot, checkers: &mut CheckerSet) {
+        self.mem.restore_from(emu.mem());
         self.rrs = snap.rrs.clone();
         self.prf.clone_from(&snap.prf);
         self.ready.clone_from(&snap.ready);
@@ -640,6 +581,7 @@ impl<'p> Simulator<'p> {
         self.stats = snap.stats;
         self.store_sets.clone_from(&snap.store_sets);
         *checkers = snap.checkers.clone();
+        Ok(())
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1475,25 +1417,23 @@ impl<'p> Simulator<'p> {
     }
 }
 
-/// A complete capture of a [`Simulator`]'s mutable state at a cycle
-/// boundary, plus the attached checker state.
+/// A capture of a [`Simulator`]'s mutable state at a cycle boundary,
+/// except data memory, plus the attached checker state.
 ///
-/// Produced by [`Simulator::snapshot`], consumed by [`Simulator::restore`].
-/// The restored simulator continues bit-for-bit identically to one that
-/// never stopped — same commits, same cycles, same checker verdicts —
-/// which is what lets a fault-injection campaign fork thousands of runs
-/// off one golden prefix instead of re-simulating it each time.
+/// Produced by [`Simulator::snapshot`], consumed by
+/// [`Simulator::restore_from_arch`], which rebuilds memory from the
+/// in-order emulator behind the bit-exactness gate. The restored
+/// simulator continues bit-for-bit identically to one that never
+/// stopped — same commits, same cycles, same checker verdicts — which is
+/// what lets a fault-injection campaign fork thousands of runs off one
+/// golden prefix instead of re-simulating it each time.
 ///
 /// The per-cycle scratch buffers (`fetch_buf` and friends) are *not*
-/// captured: they are empty at every cycle boundary by construction.
+/// captured: they are empty at every cycle boundary by construction. Nor
+/// is a recorder: a recorded run forks its recorder by cloning it.
 #[derive(Clone)]
 pub struct SimSnapshot {
-    recorder: RecorderState,
     rrs: Rrs,
-    /// Data memory at the capture point; `None` for *lean* snapshots
-    /// ([`Simulator::snapshot_lean`]), which are restored through
-    /// [`Simulator::restore_from_arch`] with emulator-reconstructed memory.
-    mem: Option<Memory>,
     prf: Vec<u64>,
     ready: Vec<bool>,
     window: VecDeque<Entry>,
@@ -1534,19 +1474,6 @@ impl SimSnapshot {
     #[inline]
     pub fn committed(&self) -> u64 {
         self.committed
-    }
-
-    /// The captured recorder state ([`RecorderState::Null`] for snapshots
-    /// taken through the non-observed entry points).
-    #[inline]
-    pub fn recorder_state(&self) -> &RecorderState {
-        &self.recorder
-    }
-
-    /// True if this snapshot still carries its captured memory image.
-    #[inline]
-    pub fn has_mem(&self) -> bool {
-        self.mem.is_some()
     }
 
     /// The fast-forward bit-exactness gate: checks that `emu`, advanced to
@@ -1608,12 +1535,12 @@ impl SimSnapshot {
 
     /// Structural equality of the captured *simulator* state (checker
     /// state excluded — trait objects have no general equality; compare
-    /// their detections instead). Used by determinism tests to prove a
+    /// their detections instead). Memory is not captured, so compare
+    /// [`Simulator::mem`] as well. Used by determinism tests to prove a
     /// forked run converges to the same final state as an uninterrupted
     /// one.
     pub fn state_eq(&self, other: &SimSnapshot) -> bool {
         self.rrs == other.rrs
-            && self.mem == other.mem
             && self.prf == other.prf
             && self.ready == other.ready
             && self.window == other.window
@@ -2076,11 +2003,15 @@ mod tests {
 
     /// A branchy, memory-heavy program for the snapshot tests.
     fn snapshot_workload() -> Program {
+        seeded_workload(1)
+    }
+
+    fn seeded_workload(seed: i64) -> Program {
         let mut a = Asm::new();
         a.li(r(10), 512);
         a.li(r(1), 0);
         a.li(r(2), 40);
-        a.li(r(5), 1);
+        a.li(r(5), seed);
         a.label("loop");
         a.muli(r(5), r(5), 1103515245);
         a.addi(r(5), r(5), 12345);
@@ -2096,6 +2027,14 @@ mod tests {
         a.blt(r(1), r(2), "loop");
         a.out(r(5)).halt();
         a.finish()
+    }
+
+    /// An emulator of `p` advanced to `snap`'s committed count: the
+    /// memory source and gate input of [`Simulator::restore_from_arch`].
+    fn emu_at(p: &Program, snap: &SimSnapshot) -> Emulator {
+        let mut emu = Emulator::new(p);
+        emu.run_to_step(snap.committed()).expect("clean prefix");
+        emu
     }
 
     #[test]
@@ -2124,9 +2063,13 @@ mod tests {
         let snap = sim.snapshot(&checkers);
         assert!(snap.cycle() >= ref_res.cycles / 2);
 
+        // The emulator reconstructs memory; the gate passes; the resumed
+        // run is bit-identical to the uninterrupted one.
         let mut fork_checkers = CheckerSet::new();
         let mut fork = Simulator::new(&p, cfg);
-        fork.restore(&snap, &mut fork_checkers);
+        fork.restore_from_arch(&snap, &emu_at(&p, &snap), &mut fork_checkers)
+            .expect("bit-exactness gate passes on the golden prefix");
+        assert_eq!(fork.mem(), sim.mem(), "memory rebuilt at the pause point");
         let mut fseg = fork.begin_run(None, 100_000);
         let stop = fseg.run_to_end(&mut fork, &mut NoFaults, &mut fork_checkers, None);
         let fork_final = fork.snapshot(&fork_checkers);
@@ -2141,11 +2084,31 @@ mod tests {
             fork_final.state_eq(&ref_final),
             "forked run converges to the uninterrupted final state"
         );
+        assert_eq!(fork.mem(), ref_sim.mem(), "final memory");
         assert_eq!(
             fork_checkers.detections(),
             ref_checkers.detections(),
             "checker verdicts survive the snapshot/restore"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "fast-forward bit-exactness gate")]
+    fn restore_refuses_a_snapshot_of_another_program() {
+        let cfg = SimConfig::default();
+        let p = snapshot_workload();
+        let mut sim = Simulator::new(&p, cfg);
+        let mut seg = sim.begin_run(None, 100_000);
+        assert_eq!(
+            seg.step_until(&mut sim, &mut NoFaults, &mut CheckerSet::new(), 200),
+            None
+        );
+        let snap = sim.snapshot(&CheckerSet::new());
+
+        // Same code, other seed: the emulator reaches the step count, but
+        // its registers disagree with the snapshot's.
+        let other = seeded_workload(3);
+        Simulator::new(&other, cfg).restore(&snap, &mut CheckerSet::new());
     }
 
     #[test]
@@ -2172,7 +2135,9 @@ mod tests {
 
         let mut rchk = CheckerSet::new();
         let mut resumed = Simulator::new(&p, cfg);
-        resumed.restore(&snap, &mut rchk);
+        resumed
+            .restore_from_arch(&snap, &emu_at(&p, &snap), &mut rchk)
+            .expect("gate passes");
         let mut rseg = resumed.begin_run(Some(&golden.trace), 100_000);
         let stop = rseg.run_to_end(&mut resumed, &mut NoFaults, &mut rchk, None);
         let res = rseg.finish(&mut resumed, stop, &mut rchk);
@@ -2234,7 +2199,7 @@ mod tests {
     #[test]
     fn forked_observed_run_emits_byte_identical_trace() {
         use idld_core::IdldChecker;
-        use idld_obs::{Recorder, RingRecorder};
+        use idld_obs::RingRecorder;
         let p = snapshot_workload();
         let cfg = SimConfig::default();
 
@@ -2247,7 +2212,7 @@ mod tests {
             cold.run_observed(&mut NoFaults, &mut cold_chk, None, 100_000, &mut cold_rec);
         assert_eq!(cold_res.stop, SimStop::Halted);
 
-        // Observed run paused mid-flight; snapshot captures recorder state.
+        // Observed run paused mid-flight.
         let mut chk = CheckerSet::new();
         chk.push(Box::new(IdldChecker::new(&cfg.rrs)));
         let mut rec = RingRecorder::default();
@@ -2263,17 +2228,14 @@ mod tests {
             ),
             None
         );
-        let snap = sim.snapshot_observed(&chk, &rec);
-        assert!(matches!(
-            snap.recorder_state(),
-            idld_obs::RecorderState::Ring(_)
-        ));
+        let snap = sim.snapshot(&chk);
 
-        // Fork into a fresh simulator + fresh recorder.
+        // Fork into a fresh simulator and a clone of the paused recorder.
         let mut fchk = CheckerSet::new();
-        let mut frec = RingRecorder::default();
+        let mut frec = rec.clone();
         let mut fork = Simulator::new(&p, cfg);
-        fork.restore_observed(&snap, &mut fchk, &mut frec);
+        fork.restore_from_arch(&snap, &emu_at(&p, &snap), &mut fchk)
+            .expect("gate passes");
         let mut fseg = fork.begin_run(None, 100_000);
         let stop = fseg.run_to_end_observed(&mut fork, &mut NoFaults, &mut fchk, &mut frec);
         let fres = fseg.finish(&mut fork, stop, &mut fchk);
@@ -2283,14 +2245,6 @@ mod tests {
         assert_eq!(frec.total(), cold_rec.total());
         assert_eq!(frec.counts(), cold_rec.counts());
         assert!(frec.events().eq(cold_rec.events()), "retained tails agree");
-        // And restoring into a NullRecorder is harmless.
-        let mut nchk = CheckerSet::new();
-        let mut fork2 = Simulator::new(&p, cfg);
-        fork2.restore_observed(&snap, &mut nchk, &mut idld_obs::NullRecorder);
-        assert_eq!(
-            idld_obs::NullRecorder.state(),
-            idld_obs::RecorderState::Null
-        );
     }
 
     #[test]
@@ -2336,54 +2290,6 @@ mod tests {
     }
 
     #[test]
-    fn lean_snapshot_restores_through_the_emulator_bit_identically() {
-        use idld_core::IdldChecker;
-        let p = snapshot_workload();
-        let cfg = SimConfig::default();
-
-        // Uninterrupted reference run.
-        let mut ref_checkers = CheckerSet::new();
-        ref_checkers.push(Box::new(IdldChecker::new(&cfg.rrs)));
-        let mut ref_sim = Simulator::new(&p, cfg);
-        let mut ref_seg = ref_sim.begin_run(None, 100_000);
-        let ref_stop = ref_seg.run_to_end(&mut ref_sim, &mut NoFaults, &mut ref_checkers, None);
-        let ref_final = ref_sim.snapshot(&ref_checkers);
-        let ref_res = ref_seg.finish(&mut ref_sim, ref_stop, &mut ref_checkers);
-        assert_eq!(ref_res.stop, SimStop::Halted);
-
-        // Lean snapshot mid-flight: memory dropped at capture time.
-        let mut checkers = CheckerSet::new();
-        checkers.push(Box::new(IdldChecker::new(&cfg.rrs)));
-        let mut sim = Simulator::new(&p, cfg);
-        let mut seg = sim.begin_run(None, 100_000);
-        assert_eq!(
-            seg.step_until(&mut sim, &mut NoFaults, &mut checkers, ref_res.cycles / 2),
-            None
-        );
-        let snap = sim.snapshot_lean(&checkers);
-        assert!(!snap.has_mem(), "lean snapshots carry no memory image");
-
-        // The emulator reconstructs memory; the gate passes; the resumed
-        // run is bit-identical to the uninterrupted one.
-        let mut emu = Emulator::new(&p);
-        emu.run_to_step(snap.committed()).expect("clean prefix");
-        let mut fchk = CheckerSet::new();
-        let mut fork = Simulator::new(&p, cfg);
-        fork.restore_from_arch(&snap, &emu, &mut fchk)
-            .expect("bit-exactness gate passes on the golden prefix");
-        let mut fseg = fork.begin_run(None, 100_000);
-        let stop = fseg.run_to_end(&mut fork, &mut NoFaults, &mut fchk, None);
-        let fork_final = fork.snapshot(&fchk);
-        let fres = fseg.finish(&mut fork, stop, &mut fchk);
-
-        assert_eq!(fres.stop, SimStop::Halted);
-        assert_eq!(fres.cycles, ref_res.cycles);
-        assert_eq!(fres.output, ref_res.output);
-        assert_eq!(fres.stats, ref_res.stats);
-        assert!(fork_final.state_eq(&ref_final));
-    }
-
-    #[test]
     fn verify_arch_refuses_a_diverged_emulator() {
         let p = snapshot_workload();
         let cfg = SimConfig::default();
@@ -2394,7 +2300,7 @@ mod tests {
             seg.step_until(&mut sim, &mut NoFaults, &mut checkers, 200),
             None
         );
-        let snap = sim.snapshot_lean(&checkers);
+        let snap = sim.snapshot(&checkers);
         let target = snap.committed();
         assert!(target > 0, "pause point retires instructions");
 

@@ -21,6 +21,7 @@
 
 use idld::campaign::smt_checkers;
 use idld::core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld::isa::Emulator;
 use idld::obs::{compact_trace, parse_digest, RingRecorder};
 use idld::rrs::NoFaults;
 use idld::sim::{SimConfig, SimStop, Simulator, SmtSimulator};
@@ -329,9 +330,10 @@ fn golden_set_matches_suite() {
 }
 
 /// Snapshot-fork trace equivalence at the workload level: pausing a
-/// recorded run mid-flight, snapshotting (recorder included), restoring
-/// into a fresh simulator + recorder, and finishing must produce the
-/// same digest, counts and retained tail as the uninterrupted run.
+/// recorded run mid-flight, snapshotting, restoring into a fresh
+/// simulator through the emulator gate, and finishing into a clone of
+/// the paused recorder must produce the same digest, counts and retained
+/// tail as the uninterrupted run.
 #[test]
 fn forked_traces_match_cold_traces() {
     for name in ["crc32", "bitcount", "basicmath"] {
@@ -345,20 +347,23 @@ fn forked_traces_match_cold_traces() {
         assert_eq!(res.stop, SimStop::Halted);
         let pause = res.cycles / 3;
 
-        // Cold run up to the pause point, snapshot with recorder state...
+        // Cold run up to the pause point, snapshot...
         let mut cset1 = checkers(&cfg);
         let mut sim1 = Simulator::new(&workload.program, cfg);
         let mut rec1 = RingRecorder::default();
         let mut seg1 = sim1.begin_run(None, BUDGET);
         let stop = seg1.step_until_observed(&mut sim1, &mut NoFaults, &mut cset1, pause, &mut rec1);
         assert!(stop.is_none(), "{name}: must pause before completion");
-        let snap = sim1.snapshot_observed(&cset1, &rec1);
+        let snap = sim1.snapshot(&cset1);
 
-        // ...then resume in a different simulator and recorder instance.
+        // ...then resume in a different simulator and a recorder clone.
+        let mut emu = Emulator::new(&workload.program);
+        emu.run_to_step(snap.committed()).expect("clean prefix");
         let mut cset2 = CheckerSet::new();
         let mut sim2 = Simulator::new(&workload.program, cfg);
-        let mut rec2 = RingRecorder::default();
-        sim2.restore_observed(&snap, &mut cset2, &mut rec2);
+        let mut rec2 = rec1.clone();
+        sim2.restore_from_arch(&snap, &emu, &mut cset2)
+            .expect("bit-exactness gate");
         let res2 = sim2.run_observed(&mut NoFaults, &mut cset2, None, BUDGET, &mut rec2);
         assert_eq!(res2.stop, SimStop::Halted);
 
