@@ -133,7 +133,7 @@ pub const RETIRED_ENV: &[(&str, &str)] = &[
     ),
     (
         "IDLD_EMU_BLOCK",
-        "removed: the block-cached emulator always runs",
+        "removed: the single-step emulator is the only one",
     ),
     ("IDLD_LISTEN", "use `campaignd --listen HOST:PORT`"),
     ("IDLD_CONNECT", "use `campaignd --connect HOST:PORT`"),

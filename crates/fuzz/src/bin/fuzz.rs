@@ -39,6 +39,52 @@ fn parse_seed(s: &str) -> u64 {
     h
 }
 
+/// The widest pipeline `fuzz` builds: the widest configuration the
+/// repository runs (the `w8c8r192` sweep point).
+const MAX_WIDTH: usize = 8;
+
+/// Parses a comma-separated width list, each width in `1..=MAX_WIDTH`.
+/// `--widths` and the corpus metadata readers share it, so a replay
+/// accepts exactly the widths a run does.
+fn parse_widths(s: &str) -> Result<Vec<usize>, String> {
+    s.split(',')
+        .map(|w| match w.trim().parse::<usize>() {
+            Ok(w @ 1..=MAX_WIDTH) => Ok(w),
+            _ => Err(format!("'{}' is not a width in 1..={MAX_WIDTH}", w.trim())),
+        })
+        .collect()
+}
+
+/// Reads the configuration and iteration a corpus entry's metadata
+/// records into `cfg`. `seed` and `iter` are required; `mode`, `widths`
+/// and `per_model` are optional, but a key that is present and does not
+/// parse is an error naming it: falling back to a default would replay
+/// another configuration than the one the finding was recorded under.
+fn config_from_meta(
+    mut cfg: FuzzConfig,
+    meta: &[(String, String)],
+) -> Result<(FuzzConfig, u64), String> {
+    let get = |k: &str| corpus::meta_value(meta, k);
+    let bad = |k: &str, e: String| format!("metadata key '{k}': {e}");
+    cfg.seed = parse_seed(get("seed").ok_or("metadata lacks 'seed'")?);
+    let iter = get("iter")
+        .ok_or("metadata lacks 'iter'")?
+        .parse::<u64>()
+        .map_err(|e| bad("iter", e.to_string()))?;
+    if let Some(m) = get("mode") {
+        cfg.mode = Mode::parse(m).ok_or_else(|| bad("mode", format!("unknown mode '{m}'")))?;
+    }
+    if let Some(w) = get("widths") {
+        cfg.widths = parse_widths(w).map_err(|e| bad("widths", e))?;
+    }
+    if let Some(pm) = get("per_model") {
+        cfg.per_model = pm
+            .parse::<usize>()
+            .map_err(|e| bad("per_model", e.to_string()))?;
+    }
+    Ok((cfg, iter))
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: fuzz run      [--seed S] [--iters N] [--mode diff|soundness|both]\n\
@@ -90,15 +136,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.cfg.mode = Mode::parse(&v).ok_or_else(|| format!("unknown mode '{v}'"))?;
             }
             "--widths" => {
-                let v = value(&mut i)?;
-                o.cfg.widths = v
-                    .split(',')
-                    .map(|w| w.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| format!("--widths: {e}"))?;
-                if o.cfg.widths.is_empty() {
-                    return Err("--widths needs at least one width".to_string());
-                }
+                o.cfg.widths =
+                    parse_widths(&value(&mut i)?).map_err(|e| format!("--widths: {e}"))?
             }
             "--per-model" => {
                 o.cfg.per_model = value(&mut i)?
@@ -206,31 +245,13 @@ fn cmd_replay(o: Opts) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let get = |k: &str| corpus::meta_value(&meta, k);
-        let (Some(seed), Some(iter)) = (get("seed"), get("iter")) else {
-            eprintln!("fuzz replay: metadata lacks seed/iter");
-            return ExitCode::from(2);
-        };
-        let mut cfg = o.cfg;
-        cfg.seed = parse_seed(seed);
-        let iter: u64 = match iter.parse() {
-            Ok(i) => i,
+        let (cfg, iter) = match config_from_meta(o.cfg, &meta) {
+            Ok(c) => c,
             Err(e) => {
-                eprintln!("fuzz replay: bad iter in metadata: {e}");
+                eprintln!("fuzz replay: {e}");
                 return ExitCode::from(2);
             }
         };
-        if let Some(m) = get("mode").and_then(Mode::parse) {
-            cfg.mode = m;
-        }
-        if let Some(w) = get("widths") {
-            if let Ok(widths) = w.split(',').map(|x| x.parse::<usize>()).collect() {
-                cfg.widths = widths;
-            }
-        }
-        if let Some(pm) = get("per_model").and_then(|v| v.parse().ok()) {
-            cfg.per_model = pm;
-        }
 
         // Bit-for-bit check against the recorded original.
         let stem = path
@@ -305,22 +326,17 @@ fn cmd_minimize(o: Opts) -> ExitCode {
         eprintln!("fuzz minimize: metadata lacks a finding kind");
         return ExitCode::from(2);
     };
-    let mut cfg = o.cfg;
-    if let Some(s) = corpus::meta_value(&meta, "seed") {
-        cfg.seed = parse_seed(s);
-    }
-    let iter: u64 = corpus::meta_value(&meta, "iter")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    if let Some(w) = corpus::meta_value(&meta, "widths") {
-        if let Ok(widths) = w.split(',').map(|x| x.parse::<usize>()).collect() {
-            cfg.widths = widths;
+    let (cfg, iter) = match config_from_meta(o.cfg, &meta) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("fuzz minimize: {e}");
+            return ExitCode::from(2);
         }
-    }
+    };
     // Rebuild the iteration's simulator configurations so the predicate
     // matches the one the finding was recorded under.
     let out = run_iteration(&cfg, iter);
-    let is_diff = corpus::meta_value(&meta, "mode") != Some("soundness");
+    let is_diff = !matches!(cfg.mode, Mode::Soundness);
     let minimized = if is_diff {
         idld_fuzz::minimize(&program, |p| {
             idld_fuzz::differential(p, &out.sim_cfgs)

@@ -17,11 +17,6 @@
 //!   recorder paused at the fork cycle, must emit the exact same event
 //!   stream as the cold run (FNV digest, totals, per-kind counts,
 //!   retained tail), with the same run result and detections.
-//! * [`block_engine_matches_single_step_on_random_programs`] — the
-//!   emulator's pre-decoded block engine vs the single-step interpreter
-//!   over the same random program space: identical registers, memory,
-//!   output, pc and step count at halt *and* at every sampled
-//!   `run_to_step` prefix.
 
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
 use idld_campaign::{export, Campaign, CampaignConfig, GoldenRun};
@@ -115,51 +110,6 @@ fn ff_campaigns_produce_bit_identical_records() {
             "random programs produced no forked runs — the test probes nothing"
         );
     }
-}
-
-/// Asserts every architecturally visible piece of emulator state matches
-/// between the block-engine run and the single-step reference.
-fn assert_emu_state_eq(blocked: &Emulator, reference: &Emulator, what: &str) {
-    assert_eq!(blocked.steps(), reference.steps(), "{what}: steps");
-    assert_eq!(blocked.pc(), reference.pc(), "{what}: pc");
-    assert_eq!(blocked.regs(), reference.regs(), "{what}: registers");
-    assert_eq!(blocked.output(), reference.output(), "{what}: output");
-    assert_eq!(blocked.mem(), reference.mem(), "{what}: memory");
-}
-
-#[test]
-fn block_engine_matches_single_step_on_random_programs() {
-    let mut dispatched = 0u64;
-    for w in &random_workloads(0xb10c) {
-        // Full run to halt on both engines.
-        let mut blocked = Emulator::new(&w.program);
-        let mut reference = Emulator::single_step(&w.program);
-        let rb = blocked.run(w.max_steps);
-        let rr = reference.run(w.max_steps);
-        assert_eq!(rb.stop, rr.stop, "{}: stop reason", w.name);
-        assert_emu_state_eq(&blocked, &reference, &w.name);
-        dispatched += blocked.block_stats().dispatches();
-
-        // Sampled prefixes: run_to_step must stop at the exact step on
-        // both engines, wherever the target lands relative to block
-        // boundaries.
-        let total = rb.steps;
-        for target in [1, total / 3, total / 2, total - 1, total] {
-            let mut blocked = Emulator::new(&w.program);
-            let mut reference = Emulator::single_step(&w.program);
-            blocked
-                .run_to_step(target)
-                .unwrap_or_else(|s| panic!("{}: block prefix {target}: {s:?}", w.name));
-            reference
-                .run_to_step(target)
-                .unwrap_or_else(|s| panic!("{}: single prefix {target}: {s:?}", w.name));
-            assert_emu_state_eq(&blocked, &reference, &format!("{} @ {target}", w.name));
-        }
-    }
-    assert!(
-        dispatched > 0,
-        "random programs never dispatched a block — the sweep probes nothing"
-    );
 }
 
 #[test]

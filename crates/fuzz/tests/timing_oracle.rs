@@ -46,7 +46,7 @@ fn critical_path(program: &Program, cfg: &SimConfig) -> Option<(u64, u64)> {
         InstKind::Store => cfg.lat_store,
         InstKind::Branch | InstKind::Jump | InstKind::JumpInd => cfg.lat_branch,
     };
-    let mut emu = Emulator::single_step(program);
+    let mut emu = Emulator::new(program);
     let mut ready = [0u64; NUM_ARCH_REGS];
     let mut path = 0;
     while emu.steps() < MAX_STEPS {

@@ -1,14 +1,19 @@
 //! In-order architectural emulator — the golden reference model.
 //!
 //! The emulator executes programs with precise architectural semantics and no
-//! microarchitectural state. It serves two roles in the reproduction:
+//! microarchitectural state, one instruction per [`Emulator::step`]. It serves
+//! three roles in the reproduction:
 //!
-//! 1. validating workloads against native Rust reference implementations, and
+//! 1. validating workloads against native Rust reference implementations,
 //! 2. cross-checking that the out-of-order simulator (with its full register
 //!    renaming subsystem) is architecturally equivalent when no bug is
-//!    injected.
+//!    injected, and
+//! 3. handing a fork its architectural image: a forked campaign run advances
+//!    an emulator to the snapshot's commit count with
+//!    [`Emulator::run_to_step`], and the simulator's bit-exactness gate
+//!    (`Simulator::restore_from_arch`) takes its registers and memory only if
+//!    they match the snapshot.
 
-use crate::block::{BlockEnd, BlockEngine, BlockStats, MicroOp, NO_BLOCK};
 use crate::inst::Inst;
 use crate::mem::{MemFault, Memory};
 use crate::program::Program;
@@ -63,11 +68,10 @@ pub struct EmuResult {
     pub steps: u64,
 }
 
-/// The architectural emulator. Create one per run with [`Emulator::new`]
-/// (block-cached interpreter) or [`Emulator::single_step`] (the plain
-/// per-instruction interpreter); the two are bit-identical at every
-/// observable point — registers, memory, output, pc, step count and
-/// fault — and differ only in throughput.
+/// The architectural emulator: a plain per-instruction interpreter. Create
+/// one per program with [`Emulator::new`]; it only runs forward, so a
+/// campaign worker keeps one per golden run and advances it from fork to
+/// fork.
 #[derive(Clone, Debug)]
 pub struct Emulator {
     regs: [u64; NUM_ARCH_REGS],
@@ -76,9 +80,6 @@ pub struct Emulator {
     output: Vec<u64>,
     steps: u64,
     program: Program,
-    /// The pre-decoded basic-block engine (see [`crate::block`]), or
-    /// `None` for the pure single-step interpreter.
-    engine: Option<BlockEngine>,
 }
 
 /// The result of a single architectural step.
@@ -93,40 +94,17 @@ pub enum StepOutcome {
 }
 
 impl Emulator {
-    /// Creates an emulator with fresh memory built from the program image,
-    /// pre-decoding the instruction stream into the basic-block engine.
+    /// Creates an emulator at power-on: pc 0, zeroed registers and fresh
+    /// memory built from the program image.
     pub fn new(program: &Program) -> Self {
-        Emulator {
-            engine: Some(BlockEngine::compile(program)),
-            ..Self::single_step(program)
-        }
-    }
-
-    /// Creates a pure single-step emulator (no block cache): the reference
-    /// interpreter the block engine is proven bit-identical against.
-    pub fn single_step(program: &Program) -> Self {
         Emulator {
             regs: [0; NUM_ARCH_REGS],
             pc: 0,
             mem: program.build_memory(),
             output: Vec::new(),
             steps: 0,
-            engine: None,
             program: program.clone(),
         }
-    }
-
-    /// True when this emulator dispatches through the block cache.
-    #[inline]
-    pub fn block_engine_enabled(&self) -> bool {
-        self.engine.is_some()
-    }
-
-    /// Cumulative block-engine dispatch counters (all zero for a
-    /// [`single_step`](Emulator::single_step) emulator).
-    #[inline]
-    pub fn block_stats(&self) -> BlockStats {
-        self.engine.as_ref().map(|e| e.stats).unwrap_or_default()
     }
 
     /// Current program counter (instruction index).
@@ -239,202 +217,6 @@ impl Emulator {
         StepOutcome::Continue
     }
 
-    /// The block-cached dispatch loop: executes whole pre-decoded blocks
-    /// while a full block fits within `max_steps`, chaining statically
-    /// resolved successors directly, and falls back to [`Emulator::step`] for
-    /// anything else — cache misses (indirect `jalr` targets, mid-block
-    /// pcs, off-end pcs) and the final partial block when the budget (or
-    /// an exact `run_to_step` target) stops mid-block. Stops exactly like
-    /// the single-step loop: at `steps == max_steps`, at a halt, or at a
-    /// fault — with identical architectural state at the stop point.
-    fn run_blocks(&mut self, max_steps: u64) -> StopReason {
-        let mut chain: u32 = NO_BLOCK;
-        loop {
-            if self.steps >= max_steps {
-                return StopReason::StepLimit;
-            }
-            // Pick this dispatch's block — taken from the chain hint when
-            // the previous block resolved its successor statically, from
-            // the entry-pc cache otherwise — unless its full step count
-            // would overrun the budget.
-            let dispatch = {
-                let engine = self.engine.as_ref().expect("block driver needs an engine");
-                let (bid, chained) = if chain != NO_BLOCK {
-                    (Some(chain), true)
-                } else {
-                    (engine.lookup(self.pc), false)
-                };
-                match bid {
-                    Some(b) if self.steps + engine.blocks[b as usize].total_steps <= max_steps => {
-                        Some((b, chained))
-                    }
-                    _ => None,
-                }
-            };
-            let Some((bid, chained)) = dispatch else {
-                // Single-step fallback; any chain hint is now stale.
-                chain = NO_BLOCK;
-                match self.step() {
-                    StepOutcome::Continue => continue,
-                    StepOutcome::Halted => return StopReason::Halted,
-                    StepOutcome::Fault(f) => return StopReason::Fault(f),
-                }
-            };
-            match self.exec_block(bid, chained) {
-                BlockOutcome::Next(c) => chain = c,
-                BlockOutcome::Halted => return StopReason::Halted,
-                BlockOutcome::Fault(f) => return StopReason::Fault(f),
-            }
-        }
-    }
-
-    /// Executes one whole block: the branch-free micro-op body, then the
-    /// terminator. pc and step count are written back once (or
-    /// reconstructed exactly at a faulting micro-op from its position in
-    /// the block). Returns the chained successor for statically resolved
-    /// edges (fall-through, `jal`, and the taken `br` direction).
-    fn exec_block(&mut self, bid: u32, chained: bool) -> BlockOutcome {
-        let engine = self.engine.as_mut().expect("caller checked");
-        if chained {
-            engine.stats.chained_dispatches += 1;
-        } else {
-            engine.stats.block_hits += 1;
-        }
-        engine.stats.block_steps += engine.blocks[bid as usize].total_steps;
-        let blk = &engine.blocks[bid as usize];
-        let entry = blk.entry;
-        // A micro-op at body index `i` faulted: the `i` preceding ops
-        // retired (pc and steps advanced past them), the faulting
-        // instruction counts its step but leaves pc at itself —
-        // bit-identical to the single-step interpreter's fault state.
-        // (A macro, not a method: `blk` keeps `self.engine` borrowed, so
-        // only disjoint direct field accesses may touch `self` here.)
-        macro_rules! body_fault {
-            ($i:expr, $e:expr) => {{
-                self.steps += $i as u64 + 1;
-                self.pc = entry + $i;
-                return BlockOutcome::Fault($e.into());
-            }};
-        }
-        for (i, op) in blk.ops.iter().enumerate() {
-            match *op {
-                MicroOp::Alu { op, rd, rs1, rs2 } => {
-                    self.regs[(rd & 31) as usize] = op.apply(
-                        self.regs[(rs1 & 31) as usize],
-                        self.regs[(rs2 & 31) as usize],
-                    );
-                }
-                MicroOp::AluI { op, rd, rs1, imm } => {
-                    self.regs[(rd & 31) as usize] =
-                        op.apply(self.regs[(rs1 & 31) as usize], imm as u64);
-                }
-                MicroOp::Li { rd, imm } => self.regs[(rd & 31) as usize] = imm as u64,
-                MicroOp::Ld8 { rd, rs1, imm } => {
-                    let addr = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                    match self.mem.load_w::<8>(addr) {
-                        Ok(v) => self.regs[(rd & 31) as usize] = v,
-                        Err(e) => body_fault!(i, e),
-                    }
-                }
-                MicroOp::Ld4 { rd, rs1, imm } => {
-                    let addr = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                    match self.mem.load_w::<4>(addr) {
-                        Ok(v) => self.regs[(rd & 31) as usize] = v,
-                        Err(e) => body_fault!(i, e),
-                    }
-                }
-                MicroOp::Ld1 { rd, rs1, imm } => {
-                    let addr = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                    match self.mem.load_w::<1>(addr) {
-                        Ok(v) => self.regs[(rd & 31) as usize] = v,
-                        Err(e) => body_fault!(i, e),
-                    }
-                }
-                MicroOp::St8 { rs1, rs2, imm } => {
-                    let addr = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                    if let Err(e) = self.mem.store_w::<8>(addr, self.regs[(rs2 & 31) as usize]) {
-                        body_fault!(i, e);
-                    }
-                }
-                MicroOp::St4 { rs1, rs2, imm } => {
-                    let addr = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                    if let Err(e) = self.mem.store_w::<4>(addr, self.regs[(rs2 & 31) as usize]) {
-                        body_fault!(i, e);
-                    }
-                }
-                MicroOp::St1 { rs1, rs2, imm } => {
-                    let addr = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                    if let Err(e) = self.mem.store_w::<1>(addr, self.regs[(rs2 & 31) as usize]) {
-                        body_fault!(i, e);
-                    }
-                }
-                MicroOp::Out { rs1 } => self.output.push(self.regs[(rs1 & 31) as usize]),
-                MicroOp::Nop => {}
-            }
-        }
-        let body = blk.ops.len() as u64;
-        match blk.end {
-            BlockEnd::Br {
-                cond,
-                rs1,
-                rs2,
-                taken_pc,
-                fall_pc,
-                taken_blk,
-                fall_blk,
-            } => {
-                self.steps += body + 1;
-                let taken = cond.eval(
-                    self.regs[(rs1 & 31) as usize],
-                    self.regs[(rs2 & 31) as usize],
-                );
-                // Both edges are pre-resolved: whichever direction the
-                // branch goes, the successor dispatches without a cache
-                // lookup (a hot loop chains straight back to itself).
-                let (pc, blk) = if taken {
-                    (taken_pc, taken_blk)
-                } else {
-                    (fall_pc, fall_blk)
-                };
-                self.pc = pc;
-                BlockOutcome::Next(blk)
-            }
-            BlockEnd::Jal {
-                rd,
-                link,
-                target_pc,
-                target_blk,
-            } => {
-                self.steps += body + 1;
-                self.regs[(rd & 31) as usize] = link;
-                self.pc = target_pc;
-                BlockOutcome::Next(target_blk)
-            }
-            BlockEnd::Jalr { rd, rs1, imm, link } => {
-                self.steps += body + 1;
-                // Same operand order and clamp as the single-step
-                // interpreter: the target reads rs1 *before* the link
-                // write (rd may alias rs1).
-                let target = self.regs[(rs1 & 31) as usize].wrapping_add(imm as u64);
-                self.regs[(rd & 31) as usize] = link;
-                self.pc = target.min(usize::MAX as u64) as usize;
-                BlockOutcome::Next(NO_BLOCK)
-            }
-            BlockEnd::Halt => {
-                // The halt retires as a step and leaves pc at itself,
-                // exactly like the single-step interpreter's early return.
-                self.steps += body + 1;
-                self.pc = entry + blk.ops.len();
-                BlockOutcome::Halted
-            }
-            BlockEnd::Fall { next_pc, next_blk } => {
-                self.steps += body;
-                self.pc = next_pc;
-                BlockOutcome::Next(next_blk)
-            }
-        }
-    }
-
     /// Advances execution until exactly `target` instructions have been
     /// executed. The architectural state afterwards (registers, memory, pc,
     /// output) is the hand-off image a cycle-accurate run fast-forwards
@@ -448,19 +230,6 @@ impl Emulator {
     pub fn run_to_step(&mut self, target: u64) -> Result<(), StopReason> {
         if target < self.steps {
             return Err(StopReason::StepLimit);
-        }
-        if self.engine.is_some() {
-            // The block driver stops at exactly `target` steps (it never
-            // dispatches a block that would overrun it — the final partial
-            // block single-steps), so StepLimit *is* the requested prefix.
-            return match self.run_blocks(target) {
-                StopReason::StepLimit => Ok(()),
-                // A halt *as* the target-th instruction still reaches the
-                // requested prefix; anything earlier cannot.
-                StopReason::Halted if self.steps == target => Ok(()),
-                StopReason::Halted => Err(StopReason::Halted),
-                f @ StopReason::Fault(_) => Err(f),
-            };
         }
         while self.steps < target {
             match self.step() {
@@ -477,18 +246,14 @@ impl Emulator {
 
     /// Runs until halt, fault or `max_steps` executed instructions.
     pub fn run(&mut self, max_steps: u64) -> EmuResult {
-        let stop = if self.engine.is_some() {
-            self.run_blocks(max_steps)
-        } else {
-            loop {
-                if self.steps >= max_steps {
-                    break StopReason::StepLimit;
-                }
-                match self.step() {
-                    StepOutcome::Continue => {}
-                    StepOutcome::Halted => break StopReason::Halted,
-                    StepOutcome::Fault(f) => break StopReason::Fault(f),
-                }
+        let stop = loop {
+            if self.steps >= max_steps {
+                break StopReason::StepLimit;
+            }
+            match self.step() {
+                StepOutcome::Continue => {}
+                StepOutcome::Halted => break StopReason::Halted,
+                StepOutcome::Fault(f) => break StopReason::Fault(f),
             }
         };
         EmuResult {
@@ -497,17 +262,6 @@ impl Emulator {
             steps: self.steps,
         }
     }
-}
-
-/// The outcome of one whole-block execution.
-enum BlockOutcome {
-    /// Block completed; the successor block id for unconditional edges
-    /// ([`NO_BLOCK`] = return to the entry-pc cache).
-    Next(u32),
-    /// The block's terminator was a halt.
-    Halted,
-    /// A micro-op faulted mid-block.
-    Fault(EmuFault),
 }
 
 #[cfg(test)]
@@ -654,11 +408,10 @@ mod tests {
         assert_eq!(run(a, 100).output, vec![10]);
     }
 
-    /// The loop workload used by the block-boundary tests. Block structure:
-    /// `[0..2)` li,li falls into leader 2; `[2..5)` addi,out,blt (3 steps,
-    /// conditional terminator); `[5]` halt. 10 iterations: 2 + 30 steps,
-    /// halt retires as step 33.
-    fn boundary_program() -> crate::program::Program {
+    #[test]
+    fn run_to_step_stops_on_the_halt_and_refuses_rewinds() {
+        // li,li then 10 iterations of addi,out,blt (2 + 30 steps); the halt
+        // at pc 5 retires as step 33.
         let mut a = Asm::new();
         a.li(r(1), 0).li(r(2), 10);
         a.label("loop");
@@ -666,119 +419,52 @@ mod tests {
         a.out(r(1));
         a.blt(r(1), r(2), "loop");
         a.halt();
-        a.finish()
-    }
-
-    /// Asserts every observable of the block-cached emulator equals the
-    /// single-step emulator's at the same point.
-    fn assert_state_eq(blocked: &Emulator, reference: &Emulator, what: &str) {
-        assert_eq!(blocked.steps(), reference.steps(), "steps ({what})");
-        assert_eq!(blocked.pc(), reference.pc(), "pc ({what})");
-        assert_eq!(blocked.regs(), reference.regs(), "regs ({what})");
-        assert_eq!(blocked.output(), reference.output(), "output ({what})");
-        assert_eq!(blocked.mem(), reference.mem(), "memory ({what})");
-    }
-
-    #[test]
-    fn run_to_step_stops_exactly_at_block_boundaries() {
-        let p = boundary_program();
-        // Targets land on a block leader (2), mid-block (4), and on the
-        // halt instruction (33); each must reproduce the single-step
-        // emulator's state bit for bit.
-        for target in [2u64, 4, 33] {
-            let mut blocked = Emulator::new(&p);
-            let mut reference = Emulator::single_step(&p);
-            assert!(blocked.block_engine_enabled());
-            assert!(!reference.block_engine_enabled());
-            assert_eq!(blocked.run_to_step(target), Ok(()), "target {target}");
-            assert_eq!(reference.run_to_step(target), Ok(()), "target {target}");
-            assert_state_eq(&blocked, &reference, &format!("target {target}"));
-        }
-        // Target on the leader: the whole previous block executed.
+        let p = a.finish();
         let mut emu = Emulator::new(&p);
         assert_eq!(emu.run_to_step(2), Ok(()));
-        assert_eq!(emu.pc(), 2, "stopped exactly at the loop leader");
-        // Mid-block target: the final partial block single-steps.
+        assert_eq!(emu.pc(), 2, "stopped on the loop head");
         assert_eq!(emu.run_to_step(4), Ok(()));
-        assert_eq!(emu.pc(), 4, "stopped inside the loop block");
-        // On the halt: reaching the prefix *at* the halt is not an error...
+        assert_eq!(emu.pc(), 4, "stopped inside the loop body");
+        // Reaching the prefix *at* the halt is not an error...
         assert_eq!(emu.run_to_step(33), Ok(()));
+        assert_eq!(emu.steps(), 33);
         assert_eq!(emu.pc(), 5, "pc rests on the halt instruction");
-        // ...and a target below the current step count still is.
+        // ...and a target below the current step count is.
         assert_eq!(emu.run_to_step(4), Err(StopReason::StepLimit));
-        // Past the halt is unreachable.
+        // Past the halt is unreachable, and the halt's step still counts.
         let mut emu = Emulator::new(&p);
         assert_eq!(emu.run_to_step(34), Err(StopReason::Halted));
         assert_eq!(emu.steps(), 33, "the halt still retired");
+        assert_eq!(emu.pc(), 5);
     }
 
     #[test]
-    fn block_engine_matches_single_step_at_every_prefix() {
-        let p = boundary_program();
-        let total = Emulator::single_step(&p).run(1_000).steps;
-        for target in 0..=total {
-            let mut blocked = Emulator::new(&p);
-            let mut reference = Emulator::single_step(&p);
-            assert_eq!(
-                blocked.run_to_step(target),
-                reference.run_to_step(target),
-                "target {target}"
-            );
-            assert_state_eq(&blocked, &reference, &format!("target {target}"));
-        }
-    }
-
-    #[test]
-    fn block_engine_matches_single_step_on_faults() {
-        // A mid-block faulting load: the fault pc, step count and partial
-        // register state must match the single-step interpreter exactly.
+    fn faulting_load_counts_its_step_and_stops_on_itself() {
         let mut a = Asm::new();
         a.li(r(1), 1 << 40);
         a.li(r(2), 7);
-        a.ld(r(3), r(1), 0); // faults mid-block
+        a.ld(r(3), r(1), 0); // faults
         a.out(r(2));
         a.halt();
         let p = a.finish();
-        let mut blocked = Emulator::new(&p);
-        let mut reference = Emulator::single_step(&p);
-        let br = blocked.run(100);
-        let rr = reference.run(100);
-        assert_eq!(br, rr);
+        let mut emu = Emulator::new(&p);
+        let res = emu.run(100);
         assert_eq!(
-            br.stop,
+            res.stop,
             StopReason::Fault(EmuFault::Mem(MemFault {
                 addr: 1 << 40,
                 width: 8
             }))
         );
-        assert_state_eq(&blocked, &reference, "after fault");
-        assert_eq!(blocked.pc(), 2, "pc rests on the faulting load");
-    }
-
-    #[test]
-    fn block_stats_count_dispatches_and_chains() {
-        let p = boundary_program();
+        assert_eq!(res.steps, 3, "the faulting load counts its step");
+        assert_eq!(emu.pc(), 2, "pc rests on the faulting load");
+        assert!(res.output.is_empty(), "no later out runs");
+        assert_eq!(emu.reg(r(2)), 7);
+        assert_eq!(emu.reg(r(3)), 0, "the load wrote nothing");
+        // run_to_step reports the same fault at the same point.
         let mut emu = Emulator::new(&p);
-        let res = emu.run(1_000);
-        assert_eq!(res.stop, StopReason::Halted);
-        let stats = emu.block_stats();
-        assert_eq!(stats.blocks_compiled, 3);
-        // Every edge is statically resolved, so only the very first
-        // dispatch (the entry block) goes through the cache: the
-        // fall-through into the loop, the 9 taken loop-backs, and the
-        // not-taken exit into the halt block all chain directly.
-        assert_eq!(stats.block_hits, 1, "{stats:?}");
-        assert_eq!(stats.chained_dispatches, 11, "{stats:?}");
-        assert_eq!(
-            stats.block_steps, res.steps,
-            "every step retired inside a block"
-        );
-        assert!(stats.steps_per_dispatch() > 1.0, "{stats:?}");
-        // The single-step emulator reports all-zero stats.
-        assert_eq!(
-            Emulator::single_step(&p).block_stats(),
-            crate::block::BlockStats::default()
-        );
+        assert_eq!(emu.run_to_step(4), Err(res.stop));
+        assert_eq!((emu.steps(), emu.pc()), (3, 2));
     }
 
     #[test]

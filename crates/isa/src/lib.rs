@@ -17,9 +17,12 @@
 //! * [`Halt`](inst::Inst::Halt) for normal termination.
 //!
 //! The [`emu::Emulator`] is the *golden architectural model*: a strictly
-//! in-order interpreter with precise fault semantics, used both to validate
-//! workloads against native Rust references and to cross-check the
-//! out-of-order simulator's architectural results.
+//! in-order, one-instruction-per-step interpreter with precise fault
+//! semantics. It validates workloads against native Rust references,
+//! cross-checks the out-of-order simulator's architectural results, and
+//! hands every forked campaign run its architectural image: the run's
+//! emulator advances to the snapshot's commit count, and the simulator
+//! takes its registers and memory only through a bit-exactness gate.
 //!
 //! ```
 //! use idld_isa::asm::Asm;
@@ -42,7 +45,6 @@
 //! ```
 
 pub mod asm;
-pub mod block;
 pub mod emu;
 pub mod inst;
 pub mod mem;
@@ -51,7 +53,6 @@ pub mod program;
 pub mod reg;
 
 pub use asm::Asm;
-pub use block::BlockStats;
 pub use emu::{EmuFault, EmuResult, Emulator, StopReason};
 pub use inst::{AluOp, BrCond, Inst, InstKind};
 pub use mem::{MemFault, Memory};

@@ -187,28 +187,6 @@ impl Memory {
         }
     }
 
-    /// [`Memory::load`] with the width known at compile time, so the
-    /// byte-assembly loop specializes to one `from_le_bytes`. Used by the
-    /// block interpreter's pre-decoded micro-ops; bounds semantics (and
-    /// thus faults) are identical to the generic path.
-    #[inline]
-    pub fn load_w<const W: usize>(&self, addr: u64) -> Result<u64, MemFault> {
-        let a = self.check(addr, W)?;
-        let mut buf = [0u8; 8];
-        buf[..W].copy_from_slice(&self.bytes[a..a + W]);
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    /// [`Memory::store`] with the width known at compile time; the
-    /// write-side counterpart of [`Memory::load_w`].
-    #[inline]
-    pub fn store_w<const W: usize>(&mut self, addr: u64, value: u64) -> Result<(), MemFault> {
-        let a = self.check(addr, W)?;
-        self.mark_store(a, W);
-        self.bytes[a..a + W].copy_from_slice(&value.to_le_bytes()[..W]);
-        Ok(())
-    }
-
     /// Stores the low `width` bytes (1, 4 or 8) of `value` little-endian.
     ///
     /// # Errors
@@ -350,7 +328,7 @@ mod tests {
         let fresh = p.build_memory();
         let mut m = p.build_memory();
         m.store(PAGE as u64 - 3, 8, u64::MAX).unwrap();
-        m.store_w::<4>(2 * PAGE as u64 - 2, 0xdead_beef).unwrap();
+        m.store(2 * PAGE as u64 - 2, 4, 0xdead_beef).unwrap();
         assert_eq!(dirty_set(&m), vec![0, 1, 2]);
         assert_ne!(m, fresh);
         m.reset_dirty(&p.image);
@@ -365,7 +343,7 @@ mod tests {
         let mut m = p.build_memory();
         let end = m.size() as u64;
         m.store(end - 8, 8, 0x0102_0304_0506_0708).unwrap();
-        m.store_w::<1>(end - 1, 0xff).unwrap();
+        m.store(end - 1, 1, 0xff).unwrap();
         assert_eq!(dirty_set(&m), vec![3]);
         m.reset_dirty(&p.image);
         assert_eq!(m, fresh);
