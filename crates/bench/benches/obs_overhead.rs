@@ -10,7 +10,7 @@
 //! `main_loop::<NullRecorder>` instantiation, so the disabled path costs
 //! nothing by construction and timing it twice would only measure noise.
 
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld_campaign::injection_checkers;
 use idld_obs::{NullRecorder, RingRecorder};
 use idld_rrs::NoFaults;
 use idld_sim::{SimConfig, Simulator};
@@ -18,14 +18,6 @@ use std::time::Instant;
 
 const BUDGET: u64 = 500_000_000;
 const REPS: usize = 3;
-
-fn checkers(cfg: &SimConfig) -> CheckerSet {
-    let mut c = CheckerSet::new();
-    c.push(Box::new(IdldChecker::new(&cfg.rrs)));
-    c.push(Box::new(BitVectorChecker::new(&cfg.rrs)));
-    c.push(Box::new(CounterChecker::new(&cfg.rrs)));
-    c
-}
 
 fn main() {
     idld_bench::banner("observability overhead (null recorder vs ring recorder)");
@@ -44,7 +36,7 @@ fn main() {
         for _ in 0..REPS {
             // Disabled path: the NullRecorder instantiation every
             // campaign run takes.
-            let mut c = checkers(&cfg);
+            let mut c = injection_checkers(&cfg);
             let mut sim = Simulator::new(&w.program, cfg);
             let t = Instant::now();
             let res = sim.run_observed(&mut NoFaults, &mut c, None, BUDGET, &mut NullRecorder);
@@ -52,7 +44,7 @@ fn main() {
             cycles = res.cycles;
 
             // Full tracing.
-            let mut c = checkers(&cfg);
+            let mut c = injection_checkers(&cfg);
             let mut sim = Simulator::new(&w.program, cfg);
             let mut rec = RingRecorder::default();
             let t = Instant::now();

@@ -20,8 +20,7 @@
 //! IDLD, bit-vector and counter checkers, exactly as campaign runs do.
 
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
-use idld_campaign::GoldenRun;
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld_campaign::{injection_checkers, GoldenRun};
 use idld_obs::{MetricsRegistry, RingRecorder};
 use idld_rrs::NoFaults;
 use idld_sim::{SimConfig, Simulator};
@@ -121,10 +120,7 @@ fn main() {
     let golden = GoldenRun::capture(&workload, sim_cfg)
         .unwrap_or_else(|e| panic!("golden run invalid: {e}"));
 
-    let mut checkers = CheckerSet::new();
-    checkers.push(Box::new(IdldChecker::new(&sim_cfg.rrs)));
-    checkers.push(Box::new(BitVectorChecker::new(&sim_cfg.rrs)));
-    checkers.push(Box::new(CounterChecker::new(&sim_cfg.rrs)));
+    let mut checkers = injection_checkers(&sim_cfg);
 
     let mut recorder = RingRecorder::new(idld_obs::DEFAULT_RING_CAPACITY);
     let mut sim = Simulator::new(&workload.program, sim_cfg);

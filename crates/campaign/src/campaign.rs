@@ -508,6 +508,18 @@ pub struct Detections {
     pub counter: Option<u64>,
 }
 
+impl Detections {
+    /// The first detection cycle of each checker in `checkers`, by name.
+    pub fn of(checkers: &CheckerSet) -> Detections {
+        let cycle = |name| checkers.detection_of(name).map(|d| d.cycle);
+        Detections {
+            idld: cycle("idld"),
+            bv: cycle("bv"),
+            counter: cycle("counter"),
+        }
+    }
+}
+
 /// One injected run's record.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
@@ -787,10 +799,11 @@ impl Drop for PanicSilencer {
     }
 }
 
-/// The checker set attached to every injected run — and to golden
-/// captures, so snapshots carry exactly the checker state a
-/// from-power-on injected run would have at the snapshot cycle.
-fn injection_checkers(sim_cfg: &SimConfig) -> CheckerSet {
+/// The checker set attached to every single-thread injected run — and
+/// to golden captures, so snapshots carry exactly the checker state a
+/// from-power-on injected run would have at the snapshot cycle: the IDLD
+/// checker plus the bit-vector and counter baselines.
+pub fn injection_checkers(sim_cfg: &SimConfig) -> CheckerSet {
     let mut checkers = CheckerSet::new();
     checkers.push(Box::new(IdldChecker::new(&sim_cfg.rrs)));
     checkers.push(Box::new(BitVectorChecker::new(&sim_cfg.rrs)));
@@ -813,15 +826,18 @@ pub struct SnapshotStats {
     pub captured: usize,
 }
 
-/// Renders a caught panic payload as a short message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs `f` under panic isolation: a panic becomes `Err` with its
+/// message.
+pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
 /// Per-worker engine cache: the simulator and hand-off emulator of the
@@ -901,6 +917,11 @@ impl Campaign {
         model.label().hash(&mut h);
         k.hash(&mut h);
         (h.finish() % self.cfg.shards as u64) as usize
+    }
+
+    /// True when this shard runs job `(config, bench, model, k)`.
+    pub(crate) fn owns(&self, config: &str, bench: &str, model: BugModel, k: usize) -> bool {
+        self.cfg.shards == 1 || self.shard_of(config, bench, model, k) == self.cfg.shard
     }
 
     /// Runs one injection against a golden run (at the campaign's base
@@ -996,11 +1017,7 @@ impl Campaign {
             manifestation_cycle: manifestation_cycle(&res, outcome),
             end_cycle: res.cycles,
             persists,
-            detections: Detections {
-                idld: checkers.detection_of("idld").map(|d| d.cycle),
-                bv: checkers.detection_of("bv").map(|d| d.cycle),
-                counter: checkers.detection_of("counter").map(|d| d.cycle),
-            },
+            detections: Detections::of(&checkers),
             stats: res.stats,
             poisoned: None,
         };
@@ -1020,30 +1037,19 @@ impl Campaign {
         cache: &mut WorkerCache<'p>,
     ) -> (RunRecord, u64) {
         let sabotage = self.cfg.sabotage_job == Some(job);
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        isolated(|| {
             if sabotage {
                 panic!("deliberately sabotaged run (test instrumentation)");
             }
             self.run_one_from(sim_cfg, config, job, golden, spec, cache)
-        }));
-        match outcome {
-            Ok(rec) => rec,
-            Err(payload) => {
-                // A panicking run may have left the cached engines in a
-                // torn state; drop them so the next job starts clean.
-                cache.reset();
-                (
-                    RunRecord::poisoned(
-                        config,
-                        job,
-                        &golden.workload.name,
-                        spec,
-                        panic_message(&*payload),
-                    ),
-                    0,
-                )
-            }
-        }
+        })
+        .unwrap_or_else(|message| {
+            // A panicking run may have left the cached engines in a torn
+            // state; drop them so the next job starts clean.
+            cache.reset();
+            let rec = RunRecord::poisoned(config, job, &golden.workload.name, spec, message);
+            (rec, 0)
+        })
     }
 
     /// Runs `work` on every index of `list` on `min(threads, list.len())`
@@ -1121,10 +1127,7 @@ impl Campaign {
         for (pi, point) in points.iter().enumerate() {
             for (wi, w) in workloads.iter().enumerate() {
                 needed[pi * nw + wi] = BugModel::ALL.into_iter().any(|model| {
-                    (0..self.cfg.runs_per_cell).any(|k| {
-                        self.cfg.shards == 1
-                            || self.shard_of(&point.label, &w.name, model, k) == self.cfg.shard
-                    })
+                    (0..self.cfg.runs_per_cell).any(|k| self.owns(&point.label, &w.name, model, k))
                 });
             }
         }
@@ -1176,10 +1179,7 @@ impl Campaign {
                 };
                 for (mi, model) in BugModel::ALL.into_iter().enumerate() {
                     for k in 0..self.cfg.runs_per_cell {
-                        if self.cfg.shards > 1
-                            && self.shard_of(&point.label, &golden.workload.name, model, k)
-                                != self.cfg.shard
-                        {
+                        if !self.owns(&point.label, &golden.workload.name, model, k) {
                             continue;
                         }
                         let mut rng = self.run_rng(&point.label, &golden.workload.name, model, k);

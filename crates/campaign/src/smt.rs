@@ -20,8 +20,7 @@
 //! what it was before the axis existed.
 
 use crate::campaign::{
-    panic_message, Campaign, CellTimings, Detections, GoldenRunError, RunRecord,
-    SUPPRESS_PANIC_OUTPUT,
+    isolated, Campaign, CellTimings, Detections, GoldenRunError, RunRecord, SUPPRESS_PANIC_OUTPUT,
 };
 use crate::classify::{classify_smt, manifestation_cycle_smt};
 use crate::progress::CampaignProgress;
@@ -30,7 +29,6 @@ use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
 use idld_rrs::CensusHook;
 use idld_sim::{CommitTrace, SimConfig, SimStop, SmtSimulator};
 use idld_workloads::{smt_pairs, SmtScenario};
-use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 /// Sweep-point label of every SMT-axis record ([`RunRecord::config`]).
@@ -141,11 +139,7 @@ impl Campaign {
             manifestation_cycle: manifestation_cycle_smt(&res, outcome),
             end_cycle: res.cycles,
             persists,
-            detections: Detections {
-                idld: checkers.detection_of("idld").map(|d| d.cycle),
-                bv: checkers.detection_of("bv").map(|d| d.cycle),
-                counter: checkers.detection_of("counter").map(|d| d.cycle),
-            },
+            detections: Detections::of(&checkers),
             stats: res.stats,
             poisoned: None,
         }
@@ -174,10 +168,7 @@ impl Campaign {
                     .flat_map(|(mi, model)| {
                         (0..self.cfg.runs_per_cell).map(move |k| (mi, model, k))
                     })
-                    .filter(|&(_, model, k)| {
-                        self.cfg.shards == 1
-                            || self.shard_of(SMT_LABEL, &scenario.name, model, k) == self.cfg.shard
-                    })
+                    .filter(|&(_, model, k)| self.owns(SMT_LABEL, &scenario.name, model, k))
                     .collect();
                 if owned.is_empty() {
                     continue;
@@ -192,18 +183,11 @@ impl Campaign {
                     };
                     let job = base_jobs + (si * models + mi) * self.cfg.runs_per_cell + k;
                     let started = Instant::now();
-                    let rec = panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.run_one_smt(job, &golden, spec)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        RunRecord::poisoned(
-                            SMT_LABEL,
-                            job,
-                            &scenario.name,
-                            spec,
-                            panic_message(&*payload),
-                        )
-                    });
+                    let rec = isolated(|| self.run_one_smt(job, &golden, spec)).unwrap_or_else(
+                        |message| {
+                            RunRecord::poisoned(SMT_LABEL, job, &scenario.name, spec, message)
+                        },
+                    );
                     let elapsed = started.elapsed();
                     timings.add(&rec, elapsed);
                     records.push(rec);

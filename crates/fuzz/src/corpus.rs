@@ -9,8 +9,13 @@
 //! * `<stem>.orig.asm` — the program exactly as generated, for bit-for-bit
 //!   replay verification against the seed;
 //! * `<stem>.meta` — `key: value` lines recording the seed, iteration,
-//!   mode, finding kind and detail, so `fuzz replay` can regenerate the
-//!   original program from scratch and confirm the corpus entry matches.
+//!   mode, finding kind and detail.
+//!
+//! `fuzz replay` regenerates an entry whose `.meta` carries `seed` and
+//! `iter` from scratch and confirms it matches. Hand-reduced entries carry
+//! neither (and no `.orig.asm`); the `corpus_regressions` test pins every
+//! committed entry, those included: its metadata, its parse round trip,
+//! and a clean differential run across widths and feature toggles.
 
 use idld_isa::{disassemble, parse_asm, Program};
 use std::fs;

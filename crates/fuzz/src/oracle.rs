@@ -16,7 +16,7 @@
 //!   soundness half of the paper's "no false alarms" claim).
 
 use crate::gen::MAX_DYNAMIC_STEPS;
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld_campaign::injection_checkers;
 use idld_isa::emu::{EmuFault, EmuResult, Emulator, StopReason};
 use idld_isa::reg::NUM_ARCH_REGS;
 use idld_isa::Program;
@@ -229,10 +229,7 @@ pub fn differential(program: &Program, cfgs: &[SimConfig]) -> DiffOutcome {
 
     for cfg in cfgs {
         let width = cfg.width();
-        let mut checkers = CheckerSet::new();
-        checkers.push(Box::new(IdldChecker::new(&cfg.rrs)));
-        checkers.push(Box::new(BitVectorChecker::new(&cfg.rrs)));
-        checkers.push(Box::new(CounterChecker::new(&cfg.rrs)));
+        let mut checkers = injection_checkers(cfg);
 
         let mut sim = idld_sim::Simulator::new(program, *cfg);
         let res = sim.run(&mut NoFaults, &mut checkers, None, budget);
@@ -262,11 +259,12 @@ pub fn differential(program: &Program, cfgs: &[SimConfig]) -> DiffOutcome {
             out.divergences
                 .push(DiffDivergence::OutputMismatch { width, index });
         }
-        // The emulator counts the faulting instruction as a step; the
-        // simulator does not commit it.
+        // The emulator counts a faulting memory access as a step; the
+        // simulator does not commit it. An invalid pc faults at fetch,
+        // before the emulator counts a step.
         let expect_committed = match golden.stop {
-            StopReason::Halted => golden.steps,
-            _ => golden.steps - 1,
+            StopReason::Fault(EmuFault::Mem(_)) => golden.steps - 1,
+            _ => golden.steps,
         };
         if res.committed != expect_committed {
             out.divergences.push(DiffDivergence::CommitCountMismatch {

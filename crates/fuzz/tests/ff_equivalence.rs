@@ -19,8 +19,8 @@
 //!   retained tail), with the same run result and detections.
 
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
-use idld_campaign::{export, Campaign, CampaignConfig, GoldenRun};
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld_campaign::{export, injection_checkers, Campaign, CampaignConfig, GoldenRun};
+use idld_core::CheckerSet;
 use idld_fuzz::{generate, iter_rng, GenConfig};
 use idld_isa::Emulator;
 use idld_obs::RingRecorder;
@@ -115,13 +115,6 @@ fn ff_campaigns_produce_bit_identical_records() {
 #[test]
 fn ff_forks_emit_byte_identical_traces() {
     let sim_cfg = SimConfig::default();
-    let checkers_for = || {
-        let mut c = CheckerSet::new();
-        c.push(Box::new(IdldChecker::new(&sim_cfg.rrs)));
-        c.push(Box::new(BitVectorChecker::new(&sim_cfg.rrs)));
-        c.push(Box::new(CounterChecker::new(&sim_cfg.rrs)));
-        c
-    };
 
     let mut forked = 0usize;
     for (i, w) in random_workloads(0x7ace).iter().enumerate() {
@@ -142,7 +135,7 @@ fn ff_forks_emit_byte_identical_traces() {
 
         // The cold injected run, paused at the fork cycle: its recorder
         // there is the one a fork resumes from.
-        let mut chk_a = checkers_for();
+        let mut chk_a = injection_checkers(&sim_cfg);
         let mut rec_a = RingRecorder::new(512);
         let mut sim_a = Simulator::new(&w.program, sim_cfg);
         let mut hook_a = SingleShotHook::new(spec);

@@ -24,8 +24,8 @@
 //! fork on a new simulator.
 
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
-use idld_campaign::{GoldenRun, GoldenSnapshot};
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld_campaign::{injection_checkers, GoldenRun, GoldenSnapshot};
+use idld_core::CheckerSet;
 use idld_fuzz::{generate, iter_rng, GenConfig};
 use idld_isa::{Emulator, Memory};
 use idld_rrs::NoFaults;
@@ -41,14 +41,6 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// Injected runs per program, each followed by a reset.
 const RUNS_PER_PROGRAM: usize = 6;
 
-fn checkers(cfg: &SimConfig) -> CheckerSet {
-    let mut c = CheckerSet::new();
-    c.push(Box::new(IdldChecker::new(&cfg.rrs)));
-    c.push(Box::new(BitVectorChecker::new(&cfg.rrs)));
-    c.push(Box::new(CounterChecker::new(&cfg.rrs)));
-    c
-}
-
 fn sample_spec(golden: &GoldenRun, cfg: &SimConfig, rng: &mut SmallRng) -> Option<BugSpec> {
     let model = BugModel::ALL[rng.gen_range(0..BugModel::ALL.len())];
     BugSpec::sample(model, &golden.census, cfg.rrs.pdst_bits(), rng)
@@ -63,7 +55,7 @@ fn injected_run(
     spec: BugSpec,
 ) -> (RunResult, [Option<u64>; 3]) {
     let mut hook = SingleShotHook::new(spec);
-    let mut c = checkers(cfg);
+    let mut c = injection_checkers(cfg);
     let res = sim.run(
         &mut hook,
         &mut c,

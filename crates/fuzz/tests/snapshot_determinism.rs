@@ -11,7 +11,8 @@
 //! snapshot-and-fork execution rests on, probed across the generator's
 //! full program space (wild memory, deep loops, calls, crashes included).
 
-use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld_campaign::injection_checkers;
+use idld_core::CheckerSet;
 use idld_fuzz::{generate, iter_rng, GenConfig};
 use idld_isa::{Emulator, Program};
 use idld_rrs::NoFaults;
@@ -21,14 +22,6 @@ use rand::Rng;
 const SEED: u64 = 0x51AB_5407;
 const ITERS: u64 = 12;
 const BUDGET: u64 = 5_000_000;
-
-fn checkers_for(cfg: &SimConfig) -> CheckerSet {
-    let mut c = CheckerSet::new();
-    c.push(Box::new(IdldChecker::new(&cfg.rrs)));
-    c.push(Box::new(BitVectorChecker::new(&cfg.rrs)));
-    c.push(Box::new(CounterChecker::new(&cfg.rrs)));
-    c
-}
 
 /// Restores `snap` into `fork` through the emulator gate.
 fn restore(fork: &mut Simulator<'_>, program: &Program, snap: &SimSnapshot) -> CheckerSet {
@@ -51,7 +44,7 @@ fn forked_runs_match_uninterrupted_runs() {
         sim_cfg.mem_dep_speculation = iter % 2 == 0;
 
         // Uninterrupted reference.
-        let mut ref_checkers = checkers_for(&sim_cfg);
+        let mut ref_checkers = injection_checkers(&sim_cfg);
         let mut ref_sim = Simulator::new(&program, sim_cfg);
         let mut ref_seg = ref_sim.begin_run(None, BUDGET);
         let ref_stop = ref_seg.run_to_end(&mut ref_sim, &mut NoFaults, &mut ref_checkers, None);
@@ -64,7 +57,7 @@ fn forked_runs_match_uninterrupted_runs() {
 
         // Paused run: stop at a random interior cycle and snapshot.
         let pause = rng.gen_range(1..ref_res.cycles);
-        let mut checkers = checkers_for(&sim_cfg);
+        let mut checkers = injection_checkers(&sim_cfg);
         let mut sim = Simulator::new(&program, sim_cfg);
         let mut seg = sim.begin_run(None, BUDGET);
         let paused = seg.step_until(&mut sim, &mut NoFaults, &mut checkers, pause);
@@ -147,7 +140,7 @@ fn forked_traces_match_uninterrupted_traces() {
         // Uninterrupted recorded reference. A small ring forces eviction,
         // so the digest (whole stream) and the tail (recent window) are
         // probed independently.
-        let mut ref_checkers = checkers_for(&sim_cfg);
+        let mut ref_checkers = injection_checkers(&sim_cfg);
         let mut ref_rec = RingRecorder::new(512);
         let mut ref_sim = Simulator::new(&program, sim_cfg);
         let ref_res =
@@ -160,7 +153,7 @@ fn forked_traces_match_uninterrupted_traces() {
         // Pause mid-run, snapshot, fork into a fresh simulator and a
         // clone of the paused recorder, finish.
         let pause = rng.gen_range(1..ref_res.cycles);
-        let mut checkers = checkers_for(&sim_cfg);
+        let mut checkers = injection_checkers(&sim_cfg);
         let mut rec = RingRecorder::new(512);
         let mut sim = Simulator::new(&program, sim_cfg);
         let mut seg = sim.begin_run(None, BUDGET);

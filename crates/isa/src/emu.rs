@@ -1,8 +1,17 @@
 //! In-order architectural emulator — the golden reference model.
 //!
-//! The emulator executes programs with precise architectural semantics and no
-//! microarchitectural state, one instruction per [`Emulator::step`]. It serves
-//! three roles in the reproduction:
+//! [`execute`] is the in-order definition of the ISA: one instruction's
+//! effect on operand values and data memory, with no register file and no
+//! microarchitectural state. Two machines run on it: the [`Emulator`]
+//! below, and the 2-thread SMT core (`idld_sim::SmtSimulator`), which
+//! executes each instruction at rename. The out-of-order core does not:
+//! its `Simulator::complete` is an independent implementation, so the
+//! differential oracle that compares it with the emulator compares two
+//! different codings of the ISA.
+//!
+//! The emulator executes programs with precise architectural semantics,
+//! one instruction per [`Emulator::step`]. It serves three roles in the
+//! reproduction:
 //!
 //! 1. validating workloads against native Rust reference implementations,
 //! 2. cross-checking that the out-of-order simulator (with its full register
@@ -93,6 +102,76 @@ pub enum StepOutcome {
     Fault(EmuFault),
 }
 
+/// The architectural effect of one instruction, as computed by [`execute`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Executed {
+    /// The value written to the destination register, for every
+    /// instruction with one ([`Inst::dest`]).
+    pub value: Option<u64>,
+    /// The value appended to the output stream ([`Inst::Out`]).
+    pub out: Option<u64>,
+    /// The next program counter (`pc + 1` unless control transferred).
+    pub next_pc: usize,
+    /// The instruction was [`Inst::Halt`].
+    pub halt: bool,
+}
+
+/// Executes `inst` at `pc` on source operand values `src` (in
+/// [`Inst::sources`] order, 0 where absent) — the in-order definition of
+/// the ISA. A store writes `mem`; a load or store out of bounds returns its
+/// [`MemFault`] and leaves `mem` unchanged. The register file is the
+/// caller's: it reads `src` before and writes [`Executed::value`] after.
+#[inline(always)]
+pub fn execute(
+    inst: Inst,
+    pc: usize,
+    src: [u64; 2],
+    mem: &mut Memory,
+) -> Result<Executed, MemFault> {
+    let mut ex = Executed {
+        value: None,
+        out: None,
+        next_pc: pc + 1,
+        halt: false,
+    };
+    match inst {
+        Inst::Alu { op, .. } => ex.value = Some(op.apply(src[0], src[1])),
+        Inst::AluI { op, imm, .. } => ex.value = Some(op.apply(src[0], imm as u64)),
+        Inst::Li { imm, .. } => ex.value = Some(imm as u64),
+        Inst::Ld { imm, .. } | Inst::Ldw { imm, .. } | Inst::Ldb { imm, .. } => {
+            let width = inst.mem_width().expect("load has a width");
+            ex.value = Some(mem.load(src[0].wrapping_add(imm as u64), width)?);
+        }
+        Inst::St { imm, .. } | Inst::Stw { imm, .. } | Inst::Stb { imm, .. } => {
+            let width = inst.mem_width().expect("store has a width");
+            mem.store(src[0].wrapping_add(imm as u64), width, src[1])?;
+        }
+        Inst::Br { cond, target, .. } => {
+            if cond.eval(src[0], src[1]) {
+                ex.next_pc = target;
+            }
+        }
+        Inst::Jal { target, .. } => {
+            ex.value = Some((pc + 1) as u64);
+            ex.next_pc = target;
+        }
+        Inst::Jalr { imm, .. } => {
+            // Targets beyond the address space clamp to `usize::MAX`
+            // (always an invalid instruction index, so the *next* fetch
+            // faults), matching the out-of-order model. Truncating the
+            // target instead would, on 32-bit hosts, silently alias a
+            // valid pc rather than fault.
+            let target = src[0].wrapping_add(imm as u64);
+            ex.value = Some((pc + 1) as u64);
+            ex.next_pc = target.min(usize::MAX as u64) as usize;
+        }
+        Inst::Out { .. } => ex.out = Some(src[0]),
+        Inst::Halt => ex.halt = true,
+        Inst::Nop => {}
+    }
+    Ok(ex)
+}
+
 impl Emulator {
     /// Creates an emulator at power-on: pc 0, zeroed registers and fresh
     /// memory built from the program image.
@@ -151,69 +230,29 @@ impl Emulator {
         self.steps
     }
 
-    /// Executes a single instruction.
+    /// Executes a single instruction through [`execute`].
     pub fn step(&mut self) -> StepOutcome {
         let Some(inst) = self.program.fetch(self.pc) else {
             return StepOutcome::Fault(EmuFault::InvalidPc(self.pc));
         };
         self.steps += 1;
-        let mut next_pc = self.pc + 1;
-        match inst {
-            Inst::Alu { op, rd, rs1, rs2 } => {
-                self.regs[rd.index()] = op.apply(self.regs[rs1.index()], self.regs[rs2.index()]);
-            }
-            Inst::AluI { op, rd, rs1, imm } => {
-                self.regs[rd.index()] = op.apply(self.regs[rs1.index()], imm as u64);
-            }
-            Inst::Li { rd, imm } => self.regs[rd.index()] = imm as u64,
-            Inst::Ld { rd, rs1, imm } | Inst::Ldw { rd, rs1, imm } | Inst::Ldb { rd, rs1, imm } => {
-                let width = inst.mem_width().expect("load has a width");
-                let addr = self.regs[rs1.index()].wrapping_add(imm as u64);
-                match self.mem.load(addr, width) {
-                    Ok(v) => self.regs[rd.index()] = v,
-                    Err(e) => return StepOutcome::Fault(e.into()),
-                }
-            }
-            Inst::St { rs1, rs2, imm }
-            | Inst::Stw { rs1, rs2, imm }
-            | Inst::Stb { rs1, rs2, imm } => {
-                let width = inst.mem_width().expect("store has a width");
-                let addr = self.regs[rs1.index()].wrapping_add(imm as u64);
-                if let Err(e) = self.mem.store(addr, width, self.regs[rs2.index()]) {
-                    return StepOutcome::Fault(e.into());
-                }
-            }
-            Inst::Br {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if cond.eval(self.regs[rs1.index()], self.regs[rs2.index()]) {
-                    next_pc = target;
-                }
-            }
-            Inst::Jal { rd, target } => {
-                self.regs[rd.index()] = (self.pc + 1) as u64;
-                next_pc = target;
-            }
-            Inst::Jalr { rd, rs1, imm } => {
-                // Targets beyond the address space clamp to `usize::MAX`
-                // (always an invalid instruction index, so the *next* fetch
-                // faults), matching the out-of-order model. The previous
-                // guard compared `target` against `usize::MAX` *after*
-                // truncating it into `next_pc`, so it could never fire on
-                // 64-bit hosts and on 32-bit hosts the truncated target
-                // silently aliased a valid pc instead of faulting.
-                let target = self.regs[rs1.index()].wrapping_add(imm as u64);
-                self.regs[rd.index()] = (self.pc + 1) as u64;
-                next_pc = target.min(usize::MAX as u64) as usize;
-            }
-            Inst::Out { rs1 } => self.output.push(self.regs[rs1.index()]),
-            Inst::Halt => return StepOutcome::Halted,
-            Inst::Nop => {}
+        let src = inst
+            .sources()
+            .map(|s| s.map_or(0, |r| self.regs[r.index()]));
+        let ex = match execute(inst, self.pc, src, &mut self.mem) {
+            Ok(ex) => ex,
+            Err(e) => return StepOutcome::Fault(e.into()),
+        };
+        if let (Some(rd), Some(v)) = (inst.dest(), ex.value) {
+            self.regs[rd.index()] = v;
         }
-        self.pc = next_pc;
+        if let Some(v) = ex.out {
+            self.output.push(v);
+        }
+        if ex.halt {
+            return StepOutcome::Halted;
+        }
+        self.pc = ex.next_pc;
         StepOutcome::Continue
     }
 
@@ -465,6 +504,114 @@ mod tests {
         let mut emu = Emulator::new(&p);
         assert_eq!(emu.run_to_step(4), Err(res.stop));
         assert_eq!((emu.steps(), emu.pc()), (3, 2));
+    }
+
+    #[test]
+    fn execute_defines_each_instruction_class() {
+        use crate::inst::{AluOp, BrCond};
+        let ex = |value, out, next_pc, halt| Executed {
+            value,
+            out,
+            next_pc,
+            halt,
+        };
+        let (rd, rs1, rs2) = (r(1), r(2), r(3));
+        let br = |cond| Inst::Br {
+            cond,
+            rs1,
+            rs2,
+            target: 9,
+        };
+        let wrap = 0x1_0000_0003u64;
+        let table = [
+            (
+                Inst::Alu {
+                    op: AluOp::Sub,
+                    rd,
+                    rs1,
+                    rs2,
+                },
+                [10, 3],
+                ex(Some(7), None, 5, false),
+            ),
+            (
+                Inst::AluI {
+                    op: AluOp::Add,
+                    rd,
+                    rs1,
+                    imm: -1,
+                },
+                [10, 0],
+                ex(Some(9), None, 5, false),
+            ),
+            (
+                Inst::Li { rd, imm: -2 },
+                [0, 0],
+                ex(Some(-2i64 as u64), None, 5, false),
+            ),
+            (br(BrCond::Lt), [1, 2], ex(None, None, 9, false)),
+            (br(BrCond::Lt), [2, 1], ex(None, None, 5, false)),
+            (
+                Inst::Jal { rd, target: 9 },
+                [0, 0],
+                ex(Some(5), None, 9, false),
+            ),
+            (
+                Inst::Jalr { rd, rs1, imm: 2 },
+                [10, 0],
+                ex(Some(5), None, 12, false),
+            ),
+            (
+                Inst::Jalr { rd, rs1, imm: 0 },
+                [wrap, 0],
+                ex(Some(5), None, wrap.min(usize::MAX as u64) as usize, false),
+            ),
+            (Inst::Out { rs1 }, [42, 0], ex(None, Some(42), 5, false)),
+            (Inst::Halt, [0, 0], ex(None, None, 5, true)),
+            (Inst::Nop, [0, 0], ex(None, None, 5, false)),
+        ];
+        let mut mem = Memory::new(64);
+        for (inst, src, want) in table {
+            assert_eq!(execute(inst, 4, src, &mut mem), Ok(want), "{inst}");
+        }
+        assert_eq!(mem, Memory::new(64), "no memory instruction ran");
+
+        // A store writes memory; loads of each width read it back.
+        let st = Inst::St { rs1, rs2, imm: 8 };
+        let word = 0x1122_3344_5566_7788;
+        assert_eq!(
+            execute(st, 4, [0, word], &mut mem),
+            Ok(ex(None, None, 5, false))
+        );
+        for (inst, want) in [
+            (Inst::Ld { rd, rs1, imm: 8 }, word),
+            (Inst::Ldw { rd, rs1, imm: 8 }, 0x5566_7788),
+            (Inst::Ldb { rd, rs1, imm: 8 }, 0x88),
+        ] {
+            assert_eq!(
+                execute(inst, 4, [0, 0], &mut mem),
+                Ok(ex(Some(want), None, 5, false)),
+                "{inst}"
+            );
+        }
+
+        // Out-of-bounds accesses report their address and width and leave
+        // memory unchanged.
+        let before = mem.clone();
+        let faults = [
+            (Inst::Ld { rd, rs1, imm: 4 }, 56, 60, 8),
+            (Inst::Ldb { rd, rs1, imm: 0 }, 64, 64, 1),
+            (Inst::Stw { rs1, rs2, imm: 2 }, 60, 62, 4),
+            (Inst::Stb { rs1, rs2, imm: 0 }, 1 << 40, 1 << 40, 1),
+        ];
+        for (inst, base, addr, width) in faults {
+            assert_eq!(
+                execute(inst, 4, [base, u64::MAX], &mut mem),
+                Err(MemFault { addr, width }),
+                "{inst}"
+            );
+            assert_eq!(mem, before, "{inst} left memory unchanged");
+        }
     }
 
     #[test]

@@ -16,10 +16,14 @@
 //!   detection (paper §VI.C) a simple vector comparison,
 //! * [`Halt`](inst::Inst::Halt) for normal termination.
 //!
-//! The [`emu::Emulator`] is the *golden architectural model*: a strictly
-//! in-order, one-instruction-per-step interpreter with precise fault
-//! semantics. It validates workloads against native Rust references,
-//! cross-checks the out-of-order simulator's architectural results, and
+//! [`execute`] is the in-order definition of the ISA: what one instruction
+//! does to its operand values and to data memory. The [`emu::Emulator`]
+//! and the SMT core both run on it. The emulator is the *golden
+//! architectural model*: a strictly in-order, one-instruction-per-step
+//! interpreter with precise fault semantics. It validates workloads
+//! against native Rust references, cross-checks the out-of-order
+//! simulator's architectural results (the out-of-order core codes the ISA
+//! a second time, independently, so the check compares two codings), and
 //! hands every forked campaign run its architectural image: the run's
 //! emulator advances to the snapshot's commit count, and the simulator
 //! takes its registers and memory only through a bit-exactness gate.
@@ -53,7 +57,7 @@ pub mod program;
 pub mod reg;
 
 pub use asm::Asm;
-pub use emu::{EmuFault, EmuResult, Emulator, StopReason};
+pub use emu::{execute, EmuFault, EmuResult, Emulator, Executed, StopReason};
 pub use inst::{AluOp, BrCond, Inst, InstKind};
 pub use mem::{MemFault, Memory};
 pub use parse::{disassemble, parse_asm, ParseError};

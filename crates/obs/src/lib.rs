@@ -38,15 +38,3 @@ pub use compact::{compact_trace, parse_digest, DEFAULT_TAIL, FORMAT_VERSION};
 pub use event::{EventKind, Fnv64, ObsEvent, TimedEvent};
 pub use metrics::{Histogram, MetricsRegistry, METRICS_CSV_HEADER};
 pub use record::{NullRecorder, Recorder, RingRecorder, DEFAULT_RING_CAPACITY};
-
-/// A passive consumer of the event stream, for components that derive
-/// state from events without owning the recorder (e.g. the simulator's
-/// `TraceMonitor` and `CommitTrace` consume `Commit` events). Keeping
-/// consumers on the same stream as the recorder guarantees one source
-/// of truth for what happened each cycle.
-pub trait Consume {
-    /// Observes one event. Consumers must not assume they see every
-    /// event kind — drivers may route only the kinds a consumer cares
-    /// about.
-    fn consume(&mut self, cycle: u64, ev: &ObsEvent);
-}

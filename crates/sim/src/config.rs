@@ -1,5 +1,6 @@
 //! Simulator configuration.
 
+use idld_isa::InstKind;
 use idld_rrs::RrsConfig;
 
 /// Out-of-order core configuration.
@@ -78,6 +79,19 @@ impl SimConfig {
     #[inline]
     pub fn width(&self) -> usize {
         self.rrs.width
+    }
+
+    /// The execution latency of an instruction class, in cycles: the one
+    /// functional-unit latency table of both cores.
+    #[inline]
+    pub fn latency(&self, kind: InstKind) -> u64 {
+        match kind {
+            InstKind::Alu | InstKind::Out | InstKind::Halt => self.lat_alu,
+            InstKind::MulDiv => self.lat_muldiv,
+            InstKind::Load => self.lat_load,
+            InstKind::Store => self.lat_store,
+            InstKind::Branch | InstKind::Jump | InstKind::JumpInd => self.lat_branch,
+        }
     }
 
     /// One point of the campaign config-space sweep: pipeline width ×

@@ -4,12 +4,12 @@ use crate::config::SimConfig;
 use crate::predictor::Predictor;
 use crate::result::{CrashCause, RunResult, SimStop};
 use crate::stats::SimStats;
-use crate::trace::{CommitTrace, Divergence, TraceMonitor};
+use crate::trace::{finish_checks, observe_commit, record_cycle_probes, CommitTrace, TraceMonitor};
 use idld_core::CheckerSet;
 use idld_isa::reg::NUM_ARCH_REGS;
 use idld_isa::{Emulator, Inst, Memory, Program};
 use idld_mdp::{StoreSets, StoreTag};
-use idld_obs::{Consume, NullRecorder, ObsEvent, Recorder};
+use idld_obs::{NullRecorder, ObsEvent, Recorder};
 use idld_rrs::{FaultHook, Idiom, PhysReg, RenameRequest, Rrs};
 use std::collections::VecDeque;
 
@@ -433,19 +433,7 @@ impl<'p> Simulator<'p> {
         monitor: Option<TraceMonitor<'_>>,
         checkers: &mut CheckerSet,
     ) -> RunResult {
-        if stop == SimStop::Halted {
-            // The pipeline is architecturally drained: give the empty-point
-            // checkers (BV, counter) their final check.
-            checkers.end_cycle(self.cycle);
-            checkers.on_pipeline_empty(self.cycle);
-        }
-        // For abnormal terminations a short trace is still a divergence:
-        // the golden run committed more (it halted), so `finish` marks an
-        // order divergence at the stop cycle.
-        let divergence = match monitor {
-            Some(mut m) => m.finish(self.cycle),
-            None => Divergence::default(),
-        };
+        let divergence = finish_checks(stop, self.cycle, monitor, checkers);
         self.stats.cycles = self.cycle;
         self.stats.committed = self.committed;
         RunResult {
@@ -689,7 +677,7 @@ impl<'p> Simulator<'p> {
                 let (seq, pc, inst, result, addr) =
                     (front.seq, front.pc, front.inst, front.result, front.addr);
                 if matches!(inst, Inst::Halt) {
-                    self.observe_commit(pc, seq, trace, monitor, record, recorder);
+                    observe_commit(self.cycle, pc, seq, trace, monitor, record, recorder);
                     self.committed += 1;
                     return Some(SimStop::Halted);
                 }
@@ -713,7 +701,7 @@ impl<'p> Simulator<'p> {
                 if let Err(a) = self.rrs.commit_head(hook, checkers) {
                     return Some(SimStop::Assert(a));
                 }
-                self.observe_commit(pc, seq, trace, monitor, record, recorder);
+                observe_commit(self.cycle, pc, seq, trace, monitor, record, recorder);
                 self.committed += 1;
                 self.window.pop_front();
                 self.stat.pop_front();
@@ -815,29 +803,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Routes one commit to every observer of the event stream: the
-    /// recorded trace (golden runs), the divergence monitor (injected
-    /// runs), and the recorder. All three consume the same [`ObsEvent`] —
-    /// one source of truth for what committed when.
-    fn observe_commit<R: Recorder>(
-        &self,
-        pc: usize,
-        seq: u64,
-        trace: &mut CommitTrace,
-        monitor: &mut Option<TraceMonitor<'_>>,
-        record: bool,
-        recorder: &mut R,
-    ) {
-        let ev = ObsEvent::Commit { pc: pc as u32, seq };
-        if record {
-            trace.consume(self.cycle, &ev);
-        }
-        if let Some(m) = monitor {
-            m.consume(self.cycle, &ev);
-        }
-        recorder.record(self.cycle, ev);
-    }
-
     fn end_cycle<R: Recorder>(
         &mut self,
         hook: &impl FaultHook,
@@ -849,36 +814,14 @@ impl<'p> Simulator<'p> {
         if self.window.is_empty() && !self.rrs.recovery_active() {
             checkers.on_pipeline_empty(self.cycle);
         }
-        if recorder.enabled() {
-            recorder.record(
-                self.cycle,
-                ObsEvent::Occupancy {
-                    window: self.window.len() as u16,
-                    fl_free: self.rrs.free_regs() as u16,
-                    rob: self.rrs.rob_len() as u16,
-                    rht: self.rrs.rht_len() as u16,
-                },
-            );
-            if let Some(code) = checkers.xor_code() {
-                // The recorder delta-encodes this: only changes survive.
-                recorder.record(self.cycle, ObsEvent::CheckerCode { code });
+        record_cycle_probes(self.cycle, hook, checkers, recorder, || {
+            ObsEvent::Occupancy {
+                window: self.window.len() as u16,
+                fl_free: self.rrs.free_regs() as u16,
+                rob: self.rrs.rob_len() as u16,
+                rht: self.rrs.rht_len() as u16,
             }
-            if let Some((_, site)) = hook.activation() {
-                // Recorded once per run by the recorder's dedup.
-                recorder.record(self.cycle, ObsEvent::FaultInjected { site });
-            }
-            checkers.for_each_detection(|name, d| {
-                // Likewise deduplicated per checker by the recorder.
-                recorder.record(
-                    self.cycle,
-                    ObsEvent::Detection {
-                        checker: name,
-                        kind: d.kind.label(),
-                        at: d.cycle,
-                    },
-                );
-            });
-        }
+        });
         self.cycle += 1;
     }
 
@@ -919,18 +862,6 @@ impl<'p> Simulator<'p> {
         self.exec_done.retain(|&(_, s)| s <= fseq);
         self.halt_in_flight = self.window.iter().any(|e| matches!(e.inst, Inst::Halt));
         self.fetch_fault = None;
-    }
-
-    fn latency(&self, inst: &Inst) -> u64 {
-        use idld_isa::InstKind::*;
-        match inst.kind() {
-            Alu | Out => self.cfg.lat_alu,
-            MulDiv => self.cfg.lat_muldiv,
-            Load => self.cfg.lat_load,
-            Store => self.cfg.lat_store,
-            Branch | Jump | JumpInd => self.cfg.lat_branch,
-            Halt => self.cfg.lat_alu,
-        }
     }
 
     #[inline]
@@ -1202,7 +1133,7 @@ impl<'p> Simulator<'p> {
                 !matches!(e.inst.kind(), idld_isa::InstKind::Load) || self.load_may_issue(i)
             };
             if take {
-                let done = self.cycle + self.latency(&self.window[i].inst);
+                let done = self.cycle + self.cfg.latency(self.window[i].inst.kind());
                 self.stat[i] = Status::Executing { done };
                 self.exec_done.push((done, seq));
                 recorder.record(self.cycle, ObsEvent::Issue { seq });

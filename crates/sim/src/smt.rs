@@ -5,10 +5,11 @@
 //! memory, output stream and architectural register mapping — share one
 //! free list, one physical register file and one rename/commit backend
 //! ([`idld_rrs::SmtRrs`]). The pipeline is in-order past rename (no
-//! wrong-path speculation): operands are read at rename, results are
-//! written to the shared PRF immediately, and instructions retire from
-//! their thread's private ROB partition after a per-kind execution
-//! latency. This is the organization in which a leaked or duplicated
+//! wrong-path speculation): operands are read at rename, the instruction
+//! executes there through [`idld_isa::execute`] (the emulator's
+//! semantics), results are written to the shared PRF immediately, and
+//! instructions retire from their thread's private ROB partition after a
+//! per-kind execution latency. This is the organization in which a leaked or duplicated
 //! PdstID crosses the thread boundary: a corrupted shared-FL transfer or
 //! a mis-steered thread-select mux makes one thread's value
 //! architecturally visible to the other.
@@ -23,9 +24,11 @@
 use crate::config::SimConfig;
 use crate::result::{CrashCause, SimStop};
 use crate::stats::SimStats;
-use crate::trace::{CommitTrace, Divergence, TraceMonitor};
+use crate::trace::{
+    finish_checks, observe_commit, record_cycle_probes, CommitTrace, Divergence, TraceMonitor,
+};
 use idld_core::CheckerSet;
-use idld_isa::{Inst, InstKind, Memory, Program};
+use idld_isa::{execute, InstKind, Memory, Program};
 use idld_obs::{NullRecorder, ObsEvent, Recorder};
 use idld_rrs::{ContentSnapshot, FaultHook, PhysReg, RrsAssert, SmtRrs, NUM_THREADS};
 use std::collections::VecDeque;
@@ -223,16 +226,6 @@ impl<'p> SmtSimulator<'p> {
         }
     }
 
-    fn latency_of(&self, kind: InstKind) -> u64 {
-        match kind {
-            InstKind::Alu | InstKind::Out | InstKind::Halt => self.cfg.lat_alu,
-            InstKind::MulDiv => self.cfg.lat_muldiv,
-            InstKind::Load => self.cfg.lat_load,
-            InstKind::Store => self.cfg.lat_store,
-            InstKind::Branch | InstKind::Jump | InstKind::JumpInd => self.cfg.lat_branch,
-        }
-    }
-
     /// Runs to completion (halt of both threads / crash / assert) or
     /// `max_cycles`.
     pub fn run(
@@ -256,62 +249,35 @@ impl<'p> SmtSimulator<'p> {
     ) -> SmtRunResult {
         let mut trace = CommitTrace::new();
         let mut monitor = golden.map(TraceMonitor::new);
-        let stop = self.run_span(
-            hook,
-            checkers,
-            &mut trace,
-            &mut monitor,
-            golden.is_none(),
-            max_cycles,
-            recorder,
-        );
-        self.finish_run(stop, trace, monitor, checkers)
-    }
-
-    /// The core loop: simulates cycles until a stop or the `until` cycle
-    /// budget.
-    #[allow(clippy::too_many_arguments)]
-    fn run_span(
-        &mut self,
-        hook: &mut impl FaultHook,
-        checkers: &mut CheckerSet,
-        trace: &mut CommitTrace,
-        monitor: &mut Option<TraceMonitor<'_>>,
-        record: bool,
-        until: u64,
-        recorder: &mut impl Recorder,
-    ) -> SimStop {
-        while self.cycle < until {
+        let record = golden.is_none();
+        let mut stop = SimStop::CycleLimit;
+        while self.cycle < max_cycles {
             hook.begin_cycle(self.cycle);
-            if let Err(a) = self.frontend(hook, checkers, recorder) {
-                self.end_cycle(hook, checkers, recorder);
-                return SimStop::Assert(a);
-            }
-            match self.commit(hook, checkers, trace, monitor, record, recorder) {
-                Ok(()) => {}
-                Err(stop) => {
-                    self.end_cycle(hook, checkers, recorder);
-                    return stop;
-                }
-            }
-            // In-order delivery of pending architectural faults: once the
-            // faulting thread's older instructions have all retired, the
-            // crash stops the run (thread 0 checked first — deterministic).
-            for t in 0..NUM_THREADS {
-                if self.ctx[t].pending.is_empty() {
-                    if let Some(cause) = self.ctx[t].crash {
-                        self.end_cycle(hook, checkers, recorder);
-                        return SimStop::Crash(cause);
-                    }
-                }
-            }
-            let done = self.ctx.iter().all(|c| c.halted && c.pending.is_empty());
+            let ended = match self.frontend(hook, checkers, recorder) {
+                Err(a) => Some(SimStop::Assert(a)),
+                Ok(()) => self.commit(hook, checkers, &mut trace, &mut monitor, record, recorder),
+            };
             self.end_cycle(hook, checkers, recorder);
-            if done {
-                return SimStop::Halted;
+            if let Some(ended) = ended {
+                stop = ended;
+                break;
             }
         }
-        SimStop::CycleLimit
+        let divergence = finish_checks(stop, self.cycle, monitor, checkers);
+        self.stats.cycles = self.cycle;
+        SmtRunResult {
+            stop,
+            cycles: self.cycle,
+            committed: self.committed,
+            outputs: [
+                std::mem::take(&mut self.ctx[0].output),
+                std::mem::take(&mut self.ctx[1].output),
+            ],
+            trace,
+            divergence,
+            final_contents: self.smt.contents(),
+            stats: self.stats,
+        }
     }
 
     /// Fetch/rename/execute for the thread winning this cycle's slot.
@@ -370,71 +336,29 @@ impl<'p> SmtSimulator<'p> {
             recorder.record(self.cycle, ObsEvent::Fetch { pc: pc as u32 });
             // Operand read through the RAT *before* this instruction's
             // rename updates it (register read-after-write semantics).
-            let src = inst.sources().map(|s| match s {
-                Some(r) => self.arch_reg(t, r.index()),
-                None => 0,
-            });
-            // Architectural execution, mirroring the emulator exactly.
-            let mut next_pc = pc + 1;
-            let mut value: Option<u64> = None;
-            let mut out_val: Option<u64> = None;
-            let mut is_halt = false;
-            match inst {
-                Inst::Alu { op, .. } => value = Some(op.apply(src[0], src[1])),
-                Inst::AluI { op, imm, .. } => value = Some(op.apply(src[0], imm as u64)),
-                Inst::Li { imm, .. } => value = Some(imm as u64),
-                Inst::Ld { imm, .. } | Inst::Ldw { imm, .. } | Inst::Ldb { imm, .. } => {
-                    let width = inst.mem_width().expect("load has a width");
-                    let addr = src[0].wrapping_add(imm as u64);
-                    match self.ctx[t].mem.load(addr, width) {
-                        Ok(v) => value = Some(v),
-                        Err(e) => {
-                            self.ctx[t].fetch_stopped = true;
-                            self.ctx[t].crash = Some(CrashCause::MemFault {
-                                addr: e.addr,
-                                width: e.width,
-                            });
-                            break;
-                        }
-                    }
-                }
-                Inst::St { imm, .. } | Inst::Stw { imm, .. } | Inst::Stb { imm, .. } => {
-                    let width = inst.mem_width().expect("store has a width");
-                    let addr = src[0].wrapping_add(imm as u64);
-                    if let Err(e) = self.ctx[t].mem.store(addr, width, src[1]) {
-                        self.ctx[t].fetch_stopped = true;
-                        self.ctx[t].crash = Some(CrashCause::MemFault {
-                            addr: e.addr,
-                            width: e.width,
-                        });
-                        break;
-                    }
-                    self.stats.stores += 1;
-                }
-                Inst::Br { cond, target, .. } => {
-                    self.stats.branches += 1;
-                    if cond.eval(src[0], src[1]) {
-                        next_pc = target;
-                    }
-                }
-                Inst::Jal { target, .. } => {
-                    value = Some((pc + 1) as u64);
-                    next_pc = target;
-                }
-                Inst::Jalr { imm, .. } => {
-                    let target = src[0].wrapping_add(imm as u64);
-                    value = Some((pc + 1) as u64);
-                    next_pc = target.min(usize::MAX as u64) as usize;
-                }
-                Inst::Out { .. } => out_val = Some(src[0]),
-                Inst::Halt => {
+            let src = inst
+                .sources()
+                .map(|s| s.map_or(0, |r| self.arch_reg(t, r.index())));
+            // Architectural execution at rename, in program order.
+            let ex = match execute(inst, pc, src, &mut self.ctx[t].mem) {
+                Ok(ex) => ex,
+                Err(e) => {
                     self.ctx[t].fetch_stopped = true;
-                    is_halt = true;
+                    self.ctx[t].crash = Some(CrashCause::MemFault {
+                        addr: e.addr,
+                        width: e.width,
+                    });
+                    break;
                 }
-                Inst::Nop => {}
+            };
+            match inst.kind() {
+                InstKind::Load => self.stats.loads += 1,
+                InstKind::Store => self.stats.stores += 1,
+                InstKind::Branch => self.stats.branches += 1,
+                _ => {}
             }
-            if matches!(inst.kind(), InstKind::Load) {
-                self.stats.loads += 1;
+            if ex.halt {
+                self.ctx[t].fetch_stopped = true;
             }
             // Rename: one-instruction group, so the thread-select mux is
             // consulted (and corruptible) per renamed instruction.
@@ -446,7 +370,7 @@ impl<'p> SmtSimulator<'p> {
                 checkers,
             )?;
             let pdst = self.alloc_buf[0];
-            if let (Some(v), Some(p)) = (value, pdst) {
+            if let (Some(v), Some(p)) = (ex.value, pdst) {
                 self.prf_write(p.index(), v);
             }
             let seq = self.seq;
@@ -465,15 +389,15 @@ impl<'p> SmtSimulator<'p> {
             self.ctx[t].pending.push_back(Pending {
                 pc: pc as u32,
                 seq,
-                done: self.cycle + self.latency_of(inst.kind()),
-                out_val,
-                is_halt,
+                done: self.cycle + self.cfg.latency(inst.kind()),
+                out_val: ex.out,
+                is_halt: ex.halt,
             });
-            self.ctx[t].pc = next_pc;
+            self.ctx[t].pc = ex.next_pc;
             renamed += 1;
             // The frontend cannot fetch past a control redirect (or the
             // halt) in the same cycle.
-            if inst.is_control() || is_halt {
+            if inst.is_control() || ex.halt {
                 break;
             }
         }
@@ -481,8 +405,7 @@ impl<'p> SmtSimulator<'p> {
     }
 
     /// Per-thread in-order commit of latency-elapsed entries, thread 0
-    /// first.
-    #[allow(clippy::too_many_arguments)]
+    /// first; returns the run's stop, if this cycle ended it.
     fn commit(
         &mut self,
         hook: &mut impl FaultHook,
@@ -491,7 +414,7 @@ impl<'p> SmtSimulator<'p> {
         monitor: &mut Option<TraceMonitor<'_>>,
         record: bool,
         recorder: &mut impl Recorder,
-    ) -> Result<(), SimStop> {
+    ) -> Option<SimStop> {
         for t in 0..NUM_THREADS {
             for _ in 0..self.cfg.width() {
                 let Some(front) = self.ctx[t].pending.front() else {
@@ -501,9 +424,9 @@ impl<'p> SmtSimulator<'p> {
                     break;
                 }
                 let entry = self.ctx[t].pending.pop_front().expect("front exists");
-                self.smt
-                    .commit_head(t, hook, checkers)
-                    .map_err(SimStop::Assert)?;
+                if let Err(a) = self.smt.commit_head(t, hook, checkers) {
+                    return Some(SimStop::Assert(a));
+                }
                 if let Some(v) = entry.out_val {
                     self.ctx[t].output.push(v);
                 }
@@ -514,22 +437,21 @@ impl<'p> SmtSimulator<'p> {
                 self.committed += 1;
                 self.stats.committed += 1;
                 let tagged = entry.pc as usize | (t << TRACE_THREAD_BIT);
-                if record {
-                    trace.push(tagged, self.cycle);
-                }
-                if let Some(m) = monitor {
-                    m.observe(tagged, self.cycle);
-                }
-                recorder.record(
-                    self.cycle,
-                    ObsEvent::Commit {
-                        pc: tagged as u32,
-                        seq: entry.seq,
-                    },
+                observe_commit(
+                    self.cycle, tagged, entry.seq, trace, monitor, record, recorder,
                 );
             }
         }
-        Ok(())
+        // In-order delivery of pending architectural faults: once the
+        // faulting thread's older instructions have all retired, the crash
+        // stops the run (thread 0 checked first — deterministic).
+        for c in &self.ctx {
+            if let Some(cause) = c.crash.filter(|_| c.pending.is_empty()) {
+                return Some(SimStop::Crash(cause));
+            }
+        }
+        let done = self.ctx.iter().all(|c| c.halted && c.pending.is_empty());
+        done.then_some(SimStop::Halted)
     }
 
     fn end_cycle(
@@ -544,67 +466,15 @@ impl<'p> SmtSimulator<'p> {
         if window == 0 {
             checkers.on_pipeline_empty(self.cycle);
         }
-        if recorder.enabled() {
-            recorder.record(
-                self.cycle,
-                ObsEvent::Occupancy {
-                    window: window as u16,
-                    fl_free: self.smt.free_regs() as u16,
-                    rob: ((0..NUM_THREADS).map(|t| self.smt.rob_len(t)).sum::<usize>()) as u16,
-                    rht: 0,
-                },
-            );
-            if let Some(code) = checkers.xor_code() {
-                recorder.record(self.cycle, ObsEvent::CheckerCode { code });
+        record_cycle_probes(self.cycle, hook, checkers, recorder, || {
+            ObsEvent::Occupancy {
+                window: window as u16,
+                fl_free: self.smt.free_regs() as u16,
+                rob: ((0..NUM_THREADS).map(|t| self.smt.rob_len(t)).sum::<usize>()) as u16,
+                rht: 0,
             }
-            if let Some((_, site)) = hook.activation() {
-                recorder.record(self.cycle, ObsEvent::FaultInjected { site });
-            }
-            checkers.for_each_detection(|name, d| {
-                recorder.record(
-                    self.cycle,
-                    ObsEvent::Detection {
-                        checker: name,
-                        kind: d.kind.label(),
-                        at: d.cycle,
-                    },
-                );
-            });
-        }
+        });
         self.cycle += 1;
-    }
-
-    fn finish_run(
-        &mut self,
-        stop: SimStop,
-        trace: CommitTrace,
-        monitor: Option<TraceMonitor<'_>>,
-        checkers: &mut CheckerSet,
-    ) -> SmtRunResult {
-        if stop == SimStop::Halted {
-            // The pipeline is architecturally drained: give the
-            // empty-point checkers their final check.
-            checkers.end_cycle(self.cycle);
-            checkers.on_pipeline_empty(self.cycle);
-        }
-        let divergence = match monitor {
-            Some(mut m) => m.finish(self.cycle),
-            None => Divergence::default(),
-        };
-        self.stats.cycles = self.cycle;
-        SmtRunResult {
-            stop,
-            cycles: self.cycle,
-            committed: self.committed,
-            outputs: [
-                std::mem::take(&mut self.ctx[0].output),
-                std::mem::take(&mut self.ctx[1].output),
-            ],
-            trace,
-            divergence,
-            final_contents: self.smt.contents(),
-            stats: self.stats,
-        }
     }
 }
 
@@ -714,6 +584,41 @@ mod tests {
         assert_eq!(res.stop, SimStop::Crash(CrashCause::InvalidPc(2)));
         // The older instructions retired before delivery.
         assert_eq!(res.outputs[0], vec![3]);
+    }
+
+    #[test]
+    fn faulting_load_crashes_with_the_emulators_fault() {
+        let mut a = Asm::new();
+        a.li(r(1), 1 << 40).li(r(2), 7);
+        a.out(r(2));
+        a.ld(r(3), r(1), 0); // pc 3 faults
+        a.out(r(3));
+        a.halt();
+        let faulty = a.finish();
+        let emu = Emulator::new(&faulty).run(100);
+        let idld_isa::StopReason::Fault(idld_isa::EmuFault::Mem(m)) = emu.stop else {
+            panic!("the emulator must fault on the load: {:?}", emu.stop);
+        };
+        let other = fib_program(50);
+        let cfg = SimConfig::default();
+        let mut cset = checkers(&cfg);
+        let mut sim = SmtSimulator::new([&faulty, &other], cfg);
+        let res = sim.run(&mut NoFaults, &mut cset, None, BUDGET);
+        assert_eq!(
+            res.stop,
+            SimStop::Crash(CrashCause::MemFault {
+                addr: m.addr,
+                width: m.width
+            })
+        );
+        assert_eq!(res.outputs[0], emu.output, "earlier outs are kept");
+        let t0: Vec<u32> = res
+            .trace
+            .pcs()
+            .filter(|pc| pc >> TRACE_THREAD_BIT == 0)
+            .collect();
+        assert_eq!(t0, [0, 1, 2], "the load and younger never commit");
+        assert_eq!(sim.ctx[0].committed, emu.steps - 1);
     }
 
     #[test]

@@ -8,17 +8,21 @@
 //! runs compare against the golden trace incrementally and record only the
 //! first divergence of each kind.
 //!
-//! Both [`CommitTrace`] (recording) and [`TraceMonitor`] (comparing) are
-//! [`Consume`]rs of the observability event stream: the simulator emits one
-//! [`ObsEvent::Commit`] per retirement and routes it here, so the commit
-//! trace, the divergence monitor, and any attached recorder all observe
-//! the *same* event — one source of truth for what committed when.
+//! Both cores route every retirement through one function, `observe_commit`,
+//! to [`CommitTrace`] (recording), [`TraceMonitor`] (comparing) and the
+//! event recorder's [`ObsEvent::Commit`] — one source of truth for what
+//! committed when. The module also holds the rest of the run plumbing the
+//! out-of-order and SMT cores share: the end-of-cycle probes
+//! (`record_cycle_probes`) and the end-of-run checks (`finish_checks`).
 //!
 //! A campaign keeps one golden trace per (sweep point × workload) alive for
 //! its whole life, so the trace is delta-encoded at about 2 bytes per
 //! commit (see [`CommitTrace`]).
 
-use idld_obs::{Consume, ObsEvent};
+use crate::result::SimStop;
+use idld_core::CheckerSet;
+use idld_obs::{ObsEvent, Recorder};
+use idld_rrs::FaultHook;
 
 /// Pc delta that sends the commit's full pc to the side vector.
 const PC_ESCAPE: i8 = i8::MIN;
@@ -153,15 +157,6 @@ impl CommitTrace {
 /// A side-vector position as stored in a seek point.
 fn side_position(len: usize) -> u32 {
     u32::try_from(len).expect("commit trace side vector exceeds u32 positions")
-}
-
-impl Consume for CommitTrace {
-    #[inline]
-    fn consume(&mut self, cycle: u64, ev: &ObsEvent) {
-        if let ObsEvent::Commit { pc, .. } = *ev {
-            self.push(pc as usize, cycle);
-        }
-    }
 }
 
 /// A decode cursor over a [`CommitTrace`], yielding `(pc, cycle)` pairs.
@@ -339,13 +334,80 @@ impl<'g> TraceMonitor<'g> {
     }
 }
 
-impl Consume for TraceMonitor<'_> {
-    #[inline]
-    fn consume(&mut self, cycle: u64, ev: &ObsEvent) {
-        if let ObsEvent::Commit { pc, .. } = *ev {
-            self.observe(pc as usize, cycle);
-        }
+/// Routes the commit of `pc` (instruction `seq`) at `cycle` to the
+/// recorded trace (golden runs, `record`), the divergence monitor
+/// (injected runs) and the recorder.
+#[inline(always)]
+pub(crate) fn observe_commit<R: Recorder>(
+    cycle: u64,
+    pc: usize,
+    seq: u64,
+    trace: &mut CommitTrace,
+    monitor: &mut Option<TraceMonitor<'_>>,
+    record: bool,
+    recorder: &mut R,
+) {
+    let pc = pc as u32;
+    if record {
+        trace.push(pc as usize, cycle);
     }
+    if let Some(m) = monitor {
+        m.observe(pc as usize, cycle);
+    }
+    recorder.record(cycle, ObsEvent::Commit { pc, seq });
+}
+
+/// Records the end-of-cycle probes when the recorder is on: the
+/// `occupancy` event, the XOR code, the fault activation and every
+/// checker's detection. The recorder keeps only changes of the code and
+/// one event per activation and detection.
+#[inline(always)]
+pub(crate) fn record_cycle_probes<R: Recorder>(
+    cycle: u64,
+    hook: &impl FaultHook,
+    checkers: &CheckerSet,
+    recorder: &mut R,
+    occupancy: impl FnOnce() -> ObsEvent,
+) {
+    if !recorder.enabled() {
+        return;
+    }
+    recorder.record(cycle, occupancy());
+    if let Some(code) = checkers.xor_code() {
+        recorder.record(cycle, ObsEvent::CheckerCode { code });
+    }
+    if let Some((_, site)) = hook.activation() {
+        recorder.record(cycle, ObsEvent::FaultInjected { site });
+    }
+    checkers.for_each_detection(|name, d| {
+        recorder.record(
+            cycle,
+            ObsEvent::Detection {
+                checker: name,
+                kind: d.kind.label(),
+                at: d.cycle,
+            },
+        );
+    });
+}
+
+/// The end-of-run checks of a run that stopped with `stop` at `cycle`. A
+/// halted pipeline is architecturally drained, so the empty-point
+/// checkers (bit vector, counter) get their final check. The monitor's
+/// verdict counts a short trace as an order divergence at `cycle`: a run
+/// that stopped abnormally committed less than its golden run, which
+/// halted.
+pub(crate) fn finish_checks(
+    stop: SimStop,
+    cycle: u64,
+    monitor: Option<TraceMonitor<'_>>,
+    checkers: &mut CheckerSet,
+) -> Divergence {
+    if stop == SimStop::Halted {
+        checkers.end_cycle(cycle);
+        checkers.on_pipeline_empty(cycle);
+    }
+    monitor.map_or_else(Divergence::default, |mut m| m.finish(cycle))
 }
 
 #[cfg(test)]

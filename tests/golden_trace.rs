@@ -19,8 +19,8 @@
 //! other code change. Traces are identical at any `--test-threads`
 //! count: each test owns its simulator and recorder.
 
-use idld::campaign::smt_checkers;
-use idld::core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
+use idld::campaign::{injection_checkers, smt_checkers};
+use idld::core::CheckerSet;
 use idld::isa::Emulator;
 use idld::obs::{compact_trace, parse_digest, RingRecorder};
 use idld::rrs::NoFaults;
@@ -30,22 +30,14 @@ use std::path::{Path, PathBuf};
 
 const BUDGET: u64 = 500_000_000;
 
-fn checkers(cfg: &SimConfig) -> CheckerSet {
-    // The same set campaign injection runs attach; on a clean run none of
-    // them may fire, so the golden traces also pin down zero false alarms.
-    let mut c = CheckerSet::new();
-    c.push(Box::new(IdldChecker::new(&cfg.rrs)));
-    c.push(Box::new(BitVectorChecker::new(&cfg.rrs)));
-    c.push(Box::new(CounterChecker::new(&cfg.rrs)));
-    c
-}
-
 /// Simulates a clean run of `name` at workload `scale` and renders its
 /// compact trace.
 fn record_trace(name: &str, scale: u32) -> String {
     let workload = idld::workloads::by_name_scaled(name, scale).expect("suite workload exists");
     let cfg = SimConfig::default();
-    let mut cset = checkers(&cfg);
+    // The set campaign injection runs attach; on a clean run none of
+    // them may fire, so the golden traces also pin down zero false alarms.
+    let mut cset = injection_checkers(&cfg);
     let mut sim = Simulator::new(&workload.program, cfg);
     let mut recorder = RingRecorder::default();
     let res = sim.run_observed(&mut NoFaults, &mut cset, None, BUDGET, &mut recorder);
@@ -340,7 +332,7 @@ fn forked_traces_match_cold_traces() {
         let workload = idld::workloads::by_name(name).expect("suite workload exists");
         let cfg = SimConfig::default();
 
-        let mut cset = checkers(&cfg);
+        let mut cset = injection_checkers(&cfg);
         let mut sim = Simulator::new(&workload.program, cfg);
         let mut cold = RingRecorder::default();
         let res = sim.run_observed(&mut NoFaults, &mut cset, None, BUDGET, &mut cold);
@@ -348,7 +340,7 @@ fn forked_traces_match_cold_traces() {
         let pause = res.cycles / 3;
 
         // Cold run up to the pause point, snapshot...
-        let mut cset1 = checkers(&cfg);
+        let mut cset1 = injection_checkers(&cfg);
         let mut sim1 = Simulator::new(&workload.program, cfg);
         let mut rec1 = RingRecorder::default();
         let mut seg1 = sim1.begin_run(None, BUDGET);
