@@ -43,10 +43,13 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot write {json_path}: {e}"));
     let st = res.snapshot_stats;
     eprintln!(
-        "campaign_smoke: {} records -> {path} ({} forked / {} cold, {} snapshots)",
+        "campaign_smoke: {} records -> {path} ({} forked / {} cold, {} snapshots; \
+         {} converged, {} suffix cycles skipped)",
         res.records.len(),
         st.forked_runs,
         st.cold_runs,
         st.captured,
+        st.converged_runs,
+        st.suffix_cycles,
     );
 }

@@ -88,8 +88,9 @@ fn run_served(addr: &str, shards: usize, dir: &Path, resume: bool, workers: usiz
         dir.display()
     );
     eprintln!(
-        "campaignd: snapshots: {} captured, {} forked / {} cold runs",
-        st.captured, st.forked_runs, st.cold_runs
+        "campaignd: snapshots: {} captured, {} forked / {} cold runs, \
+         {} converged ({} suffix cycles skipped)",
+        st.captured, st.forked_runs, st.cold_runs, st.converged_runs, st.suffix_cycles
     );
 }
 

@@ -33,6 +33,12 @@
 //! (`snapshot_max: 0`, `IDLD_SNAPSHOT_MAX=0`: every run from power-on),
 //! at any worker count.
 //!
+//! The same snapshots also end runs early. Once its bug has fired, an
+//! injected run pauses at each later golden snapshot; if its whole state
+//! (simulator, checkers, memory) equals golden's there, the rest of the
+//! run is the golden run's, so the run stops and takes the golden end
+//! (see `Campaign::run_one_from`). Every record is unchanged by this.
+//!
 //! # Sweep and shard axes
 //!
 //! The job list is the cross product `config × workload × model × k`: the
@@ -76,8 +82,8 @@ use crate::sweep::{SweepPoint, SweepSpec, DEFAULT_LABEL};
 use idld_bugs::{BugModel, BugSpec, SingleShotHook};
 use idld_core::{BitVectorChecker, CheckerSet, CounterChecker, IdldChecker};
 use idld_isa::Emulator;
-use idld_rrs::CensusHook;
-use idld_sim::{CommitTrace, SimConfig, SimSnapshot, SimStats, Simulator};
+use idld_rrs::{CensusHook, ContentSnapshot};
+use idld_sim::{CommitTrace, RunResult, SimConfig, SimSnapshot, SimStats, SimStop, Simulator};
 use idld_workloads::Workload;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -336,6 +342,37 @@ pub struct GoldenRun {
     /// Mid-trace state snapshots in cycle order, for snapshot-and-fork
     /// execution (empty when captured without snapshots).
     pub snapshots: Vec<GoldenSnapshot>,
+    /// The end an injected run takes when it re-converges to this run at
+    /// a snapshot (see `Campaign::run_one_from`). Kept only when the run
+    /// took snapshots and no checker detected anything in it: only
+    /// against such a clean run does a checker that equals golden's end
+    /// without a detection. `None` runs every injected run to its end.
+    pub end: Option<GoldenEnd>,
+}
+
+/// How a clean golden run ended, beyond its cycles and output.
+#[derive(Clone, Debug)]
+pub struct GoldenEnd {
+    /// Instructions committed by the halt.
+    pub committed: u64,
+    /// Statistics at the halt.
+    pub stats: SimStats,
+    /// PdstID census at the halt.
+    pub final_contents: ContentSnapshot,
+}
+
+impl GoldenEnd {
+    /// The end of a golden run that halted with `res`, kept only when the
+    /// run took snapshots (`snapshotted`) and none of its `checkers`
+    /// detected anything.
+    fn of(res: &RunResult, checkers: &CheckerSet, snapshotted: bool) -> Option<GoldenEnd> {
+        let clean = checkers.detections().iter().all(|(_, d)| d.is_none());
+        (snapshotted && clean).then(|| GoldenEnd {
+            committed: res.committed,
+            stats: res.stats,
+            final_contents: res.final_contents.clone(),
+        })
+    }
 }
 
 /// Why a golden (bug-free) run is unusable as a campaign baseline.
@@ -470,6 +507,7 @@ impl GoldenRun {
         }
         // The trace lives as long as the campaign: drop the growth slack.
         res.trace.shrink_to_fit();
+        let end = GoldenEnd::of(&res, &checkers, !snapshots.is_empty());
         Ok(GoldenRun {
             workload: workload.clone(),
             trace: res.trace,
@@ -477,6 +515,7 @@ impl GoldenRun {
             output: res.output,
             census,
             snapshots,
+            end,
         })
     }
 
@@ -824,11 +863,43 @@ pub struct SnapshotStats {
     pub skipped_cycles: u64,
     /// Snapshots retained across all workloads.
     pub captured: usize,
+    /// Injected runs stopped at a golden snapshot where their whole state
+    /// had re-converged to golden's (see `Campaign::run_one_from`).
+    pub converged_runs: usize,
+    /// Golden-suffix cycles those runs did not simulate, summed.
+    pub suffix_cycles: u64,
+}
+
+impl SnapshotStats {
+    /// Counts one injected run and what snapshots saved it.
+    fn count(&mut self, saved: Saved) {
+        if saved.prefix > 0 {
+            self.forked_runs += 1;
+        } else {
+            self.cold_runs += 1;
+        }
+        self.skipped_cycles += saved.prefix;
+        if let Some(suffix) = saved.suffix {
+            self.converged_runs += 1;
+            self.suffix_cycles += suffix;
+        }
+    }
+}
+
+/// What snapshots saved one injected run.
+#[derive(Clone, Copy, Debug, Default)]
+struct Saved {
+    /// Golden-prefix cycles skipped by forking (`0` = simulated from
+    /// power-on).
+    prefix: u64,
+    /// Golden-suffix cycles skipped by stopping at a converged snapshot
+    /// (`None` = simulated to its end).
+    suffix: Option<u64>,
 }
 
 /// Runs `f` under panic isolation: a panic becomes `Err` with its
 /// message.
-pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+pub fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -838,6 +909,52 @@ pub(crate) fn isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             "non-string panic payload".to_string()
         }
     })
+}
+
+/// The worker's emulator for `golden`, advanced to `snap`'s committed
+/// instruction count: built on first use, and rewound to power-on in
+/// place when it is already past the target (a clone or a new emulator
+/// would cost a whole memory image per worker).
+fn emulator_at<'e>(
+    emu: &'e mut Option<Emulator>,
+    golden: &GoldenRun,
+    snap: &GoldenSnapshot,
+) -> &'e Emulator {
+    let emu = emu.get_or_insert_with(|| Emulator::new(&golden.workload.program));
+    let target = snap.state.committed();
+    if emu.steps() > target {
+        emu.rewind();
+    }
+    if let Err(stop) = emu.run_to_step(target) {
+        panic!(
+            "fast-forward emulator stopped at step {} of {target} ({}): {stop:?}",
+            emu.steps(),
+            golden.workload.name,
+        );
+    }
+    emu
+}
+
+/// The cut-off test of an injected run paused at golden snapshot `snap`
+/// after its bug fired: true when the run's whole state equals golden's
+/// there, so its remaining run is golden's. Checks the simulator state
+/// first (a few scalars usually refuse), then the checkers (see
+/// [`CheckerSet::settled_against`]), then memory. Snapshots carry no
+/// memory, but golden's memory at the snapshot is the emulator's after
+/// the snapshot's committed count (stores apply at commit), the same
+/// fact a fork's restore rests on; so memory is compared against the
+/// worker's emulator advanced to that count, on the pages dirty in
+/// either.
+fn converged(
+    sim: &Simulator<'_>,
+    checkers: &CheckerSet,
+    snap: &GoldenSnapshot,
+    emu: &mut Option<Emulator>,
+    golden: &GoldenRun,
+) -> bool {
+    sim.same_state(&snap.state)
+        && checkers.settled_against(snap.state.checkers())
+        && sim.mem().same_bytes(emulator_at(emu, golden, snap).mem())
 }
 
 /// Per-worker engine cache: the simulator and hand-off emulator of the
@@ -933,14 +1050,24 @@ impl Campaign {
     }
 
     /// Runs one injection, forking from the latest eligible golden
-    /// snapshot when there is one. Returns the record plus the
-    /// golden-prefix cycles skipped (`0` = simulated from power-on).
+    /// snapshot when there is one, and stopping at the first later golden
+    /// snapshot where the run has re-converged to golden. Returns the
+    /// record plus what the snapshots saved.
     ///
     /// Fork equivalence: up to the bug's activation an injected run is
     /// bit-identical to the golden run, so restoring golden state at
     /// cycle `C <= activation` and re-arming the hook with the census
     /// count at `C` reproduces the from-power-on run exactly — commits,
     /// cycles, outputs, stats and checker verdicts.
+    ///
+    /// Cut-off equivalence: after activation the hook never corrupts
+    /// again, so the run is a bug-free core in some state. When at a
+    /// golden snapshot cycle its simulator state, its checkers and its
+    /// memory equal golden's there (see [`converged`]), the core, being
+    /// deterministic, repeats golden's suffix commit for commit: it halts
+    /// at golden's cycle with golden's output, stats and PdstID census,
+    /// and the monitor sees no further divergence. Its checkers keep what
+    /// they hold: a detection already made, or golden's clean verdict.
     fn run_one_from<'p>(
         &self,
         sim_cfg: SimConfig,
@@ -949,7 +1076,7 @@ impl Campaign {
         golden: &'p GoldenRun,
         spec: BugSpec,
         cache: &mut WorkerCache<'p>,
-    ) -> (RunRecord, u64) {
+    ) -> (RunRecord, Saved) {
         let snap = golden.snapshot_for(&spec);
         // The worker's cached simulator (same program, same config) serves
         // every run of the cell: a fork restores over it, a cold run
@@ -959,28 +1086,14 @@ impl Campaign {
             .get_or_insert_with(|| Simulator::new(&golden.workload.program, sim_cfg));
         let mut checkers;
         let mut hook;
-        let skipped = match snap {
+        let start = match snap {
             Some(s) => {
                 // The in-order emulator replays the architectural prefix
                 // (incrementally — jobs stream through a cell in ascending
                 // hand-off order) and the gate cross-checks it against the
                 // snapshot's committed view before seeding anything.
                 checkers = CheckerSet::new();
-                let target = s.state.committed();
-                let emu = cache
-                    .emu
-                    .get_or_insert_with(|| Emulator::new(&golden.workload.program));
-                if emu.steps() > target {
-                    *emu = Emulator::new(&golden.workload.program);
-                }
-                if let Err(stop) = emu.run_to_step(target) {
-                    panic!(
-                        "fast-forward emulator stopped at step {} of {target} \
-                         ({}): {stop:?}",
-                        emu.steps(),
-                        golden.workload.name,
-                    );
-                }
+                let emu = emulator_at(&mut cache.emu, golden, s);
                 if let Err(d) = sim.restore_from_arch(&s.state, emu, &mut checkers) {
                     panic!(
                         "fast-forward bit-exactness gate: {d} ({} @ cycle {})",
@@ -998,8 +1111,42 @@ impl Campaign {
             }
         };
         let mut seg = sim.begin_run(Some(&golden.trace), golden.timeout_budget());
-        let stop = seg.run_to_end(sim, &mut hook, &mut checkers, None);
-        let res = seg.finish(sim, stop, &mut checkers);
+        // The golden snapshots after the fork point, where a re-converged
+        // run can stop; only a golden run with a known end has them.
+        let pauses = golden
+            .end
+            .as_ref()
+            .map_or(&[][..], |_| golden.snapshots.as_slice());
+        let mut later = pauses.iter().filter(|s| s.cycle > start);
+        let mut suffix = None;
+        let res = loop {
+            let next = later.next();
+            let pause = next.map_or(u64::MAX, |s| s.cycle);
+            if let Some(stop) = seg.step_until(sim, &mut hook, &mut checkers, pause) {
+                break seg.finish(sim, stop, &mut checkers);
+            }
+            let s = next.expect("a run pauses only at a snapshot");
+            if hook.activation_cycle().is_some()
+                && converged(sim, &checkers, s, &mut cache.emu, golden)
+            {
+                let end = golden.end.as_ref().expect("paused on a golden end");
+                suffix = Some(golden.cycles - s.cycle);
+                break RunResult {
+                    stop: SimStop::Halted,
+                    cycles: golden.cycles,
+                    committed: end.committed,
+                    output: golden.output.clone(),
+                    trace: CommitTrace::new(),
+                    divergence: seg.divergence(),
+                    final_contents: end.final_contents.clone(),
+                    stats: end.stats,
+                };
+            }
+        };
+        let saved = Saved {
+            prefix: start,
+            suffix,
+        };
 
         let outcome = classify(&res, &golden.output);
         let activation_cycle = hook
@@ -1021,12 +1168,11 @@ impl Campaign {
             stats: res.stats,
             poisoned: None,
         };
-        (record, skipped)
+        (record, saved)
     }
 
     /// Executes the job with global index `job` under panic isolation.
-    /// Returns the record and the golden-prefix cycles the run skipped via
-    /// snapshot forking.
+    /// Returns the record and what snapshots saved the run.
     fn execute_job<'p>(
         &self,
         sim_cfg: SimConfig,
@@ -1035,7 +1181,7 @@ impl Campaign {
         golden: &'p GoldenRun,
         spec: BugSpec,
         cache: &mut WorkerCache<'p>,
-    ) -> (RunRecord, u64) {
+    ) -> (RunRecord, Saved) {
         let sabotage = self.cfg.sabotage_job == Some(job);
         isolated(|| {
             if sabotage {
@@ -1048,7 +1194,7 @@ impl Campaign {
             // state; drop them so the next job starts clean.
             cache.reset();
             let rec = RunRecord::poisoned(config, job, &golden.workload.name, spec, message);
-            (rec, 0)
+            (rec, Saved::default())
         })
     }
 
@@ -1215,8 +1361,13 @@ impl Campaign {
 
         let state = ProgressState::new(total);
         let _silencer = PanicSilencer::install();
-        // Per-job result slot: record, work time, golden-prefix cycles
-        // skipped.
+        // Summed as runs complete rather than kept per slot: at ~19k runs
+        // a pass, every byte of a slot is ~19 kB of peak memory.
+        let snapshot_stats = Mutex::new(SnapshotStats {
+            captured: goldens.iter().flatten().map(|g| g.snapshots.len()).sum(),
+            ..SnapshotStats::default()
+        });
+        // Per-job result slot: record, work time.
         let slots = self.drain(
             &order,
             total,
@@ -1232,35 +1383,26 @@ impl Campaign {
                     .expect("sampled jobs have goldens");
                 cache.enter(job.cell);
                 let started = Instant::now();
-                let (rec, skipped) =
+                let (rec, saved) =
                     self.execute_job(point.sim, &point.label, job.job, golden, job.spec, cache);
                 let elapsed = started.elapsed();
                 state.complete(rec.outcome, rec.poisoned.is_some());
                 progress.on_run(&state.snapshot());
-                (rec, elapsed, skipped)
+                snapshot_stats.lock().expect("stats lock").count(saved);
+                (rec, elapsed)
             },
         );
 
         // Write-back by original job index keeps the stream bit-identical
         // to a sequential run.
         let mut timings = CellTimings::default();
-        let mut snapshot_stats = SnapshotStats {
-            captured: goldens.iter().flatten().map(|g| g.snapshots.len()).sum(),
-            ..SnapshotStats::default()
-        };
         // `map` + `collect` moves the records within the slots' buffer
         // (std collects a `vec::IntoIter` chain in place) instead of
         // faulting in a second one: most of this loop's time at ~19k runs.
         let mut records: Vec<RunRecord> = slots
             .into_iter()
             .map(|slot| {
-                let (rec, elapsed, skipped) = slot.expect("every job ran");
-                if skipped > 0 {
-                    snapshot_stats.forked_runs += 1;
-                } else {
-                    snapshot_stats.cold_runs += 1;
-                }
-                snapshot_stats.skipped_cycles += skipped;
+                let (rec, elapsed) = slot.expect("every job ran");
                 timings.add(&rec, elapsed);
                 rec
             })
@@ -1279,7 +1421,7 @@ impl Campaign {
             records,
             timings: timings.cells,
             wall: t0.elapsed(),
-            snapshot_stats,
+            snapshot_stats: snapshot_stats.into_inner().expect("stats lock"),
         })
     }
 }
@@ -1287,6 +1429,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idld_rrs::{EventSink, PhysReg, RrsEvent};
 
     fn mini_cfg() -> CampaignConfig {
         CampaignConfig {
@@ -1568,7 +1711,62 @@ mod tests {
             );
             assert!(forked.snapshot_stats.captured > 0);
             assert!(forked.snapshot_stats.skipped_cycles > 0);
+            assert!(
+                forked.snapshot_stats.converged_runs > 0,
+                "some runs must stop at a converged snapshot ({threads} threads): {:?}",
+                forked.snapshot_stats
+            );
+            assert!(forked.snapshot_stats.suffix_cycles > 0);
         }
+        assert_eq!(
+            cold.snapshot_stats.converged_runs, 0,
+            "the oracle runs to the end"
+        );
+    }
+
+    #[test]
+    fn every_suite_golden_ends_clean() {
+        // The cut-off stops runs only against a clean golden run; a suite
+        // golden with a checker detection would silently disable it.
+        let cfg = CampaignConfig::default();
+        for w in idld_workloads::suite() {
+            let golden = GoldenRun::capture_with_snapshots(
+                &w,
+                cfg.sim,
+                cfg.snapshot_stride,
+                cfg.snapshot_max,
+            )
+            .expect("golden");
+            assert!(!golden.snapshots.is_empty(), "{}: no snapshots", w.name);
+            assert!(
+                golden.end.is_some(),
+                "{}: a checker detected on the golden run",
+                w.name
+            );
+            // Without snapshots there is nothing to stop at, and no end
+            // is kept.
+            let bare = GoldenRun::capture(&w, cfg.sim).expect("golden");
+            assert!(bare.end.is_none(), "{}", w.name);
+        }
+    }
+
+    #[test]
+    fn golden_end_needs_snapshots_and_no_detection() {
+        let w = idld_workloads::by_name("crc32").expect("exists");
+        let cfg = SimConfig::default();
+        let mut sim = Simulator::new(&w.program, cfg);
+        let mut checkers = injection_checkers(&cfg);
+        let mut seg = sim.begin_run(None, 1_000_000);
+        let stop = seg.run_to_end(&mut sim, &mut CensusHook::new(), &mut checkers, None);
+        let res = seg.finish(&mut sim, stop, &mut checkers);
+        let end = GoldenEnd::of(&res, &checkers, true).expect("a clean end");
+        assert_eq!(end.committed, res.committed);
+        assert!(GoldenEnd::of(&res, &checkers, false).is_none());
+        // One unbalanced free-list read, stamped at the next cycle's end:
+        // IDLD detects, and the run keeps no end.
+        checkers.event(RrsEvent::FlRead(PhysReg(40)));
+        checkers.end_cycle(res.cycles + 1);
+        assert!(GoldenEnd::of(&res, &checkers, true).is_none());
     }
 
     #[test]
@@ -1595,7 +1793,7 @@ mod tests {
         // Run-level, on a genuinely hung injection: identical stop,
         // cycle count, output, *statistics*, and final machine state.
         let w = idld_workloads::by_name(&hung.bench).expect("workload");
-        let mut results = Vec::new();
+        let mut results: Vec<(RunResult, SimSnapshot, idld_isa::Memory)> = Vec::new();
         for ff in [false, true] {
             let mut sim_cfg = mini_cfg().sim;
             sim_cfg.stall_fast_forward = ff;
@@ -1605,18 +1803,149 @@ mod tests {
             let mut checkers = injection_checkers(&sim_cfg);
             let mut seg = sim.begin_run(Some(&golden.trace), golden.timeout_budget());
             let stop = seg.run_to_end(&mut sim, &mut hook, &mut checkers, None);
+            if let Some((_, slow_fin, _)) = results.first() {
+                assert!(sim.same_state(slow_fin), "final machine state diverged");
+            }
             let fin = sim.snapshot(&checkers);
             let mem = sim.mem().clone();
             results.push((seg.finish(&mut sim, stop, &mut checkers), fin, mem));
         }
-        let (slow_res, slow_fin, slow_mem) = &results[0];
-        let (fast_res, fast_fin, fast_mem) = &results[1];
+        let (slow_res, _, slow_mem) = &results[0];
+        let (fast_res, _, fast_mem) = &results[1];
         assert_eq!(fast_res.stop, slow_res.stop);
         assert_eq!(fast_res.cycles, slow_res.cycles);
         assert_eq!(fast_res.output, slow_res.output);
         assert_eq!(fast_res.stats, slow_res.stats);
-        assert!(fast_fin.state_eq(slow_fin), "final machine state diverged");
         assert_eq!(fast_mem, slow_mem, "final memory diverged");
+    }
+
+    #[test]
+    fn cut_off_records_equal_full_runs_and_need_a_golden_end() {
+        // Run by run: a run stopped at a converged snapshot has the record
+        // of the same run against the golden run without its end, which
+        // the cut-off never stops.
+        let cfg = mini_cfg();
+        let campaign = Campaign::new(cfg.clone());
+        let mut stopped = 0;
+        for w in picks() {
+            let golden = GoldenRun::capture_with_snapshots(&w, cfg.sim, 0, cfg.snapshot_max)
+                .expect("golden");
+            let no_end = GoldenRun {
+                end: None,
+                ..golden.clone()
+            };
+            let bits = cfg.sim.rrs.pdst_bits();
+            for model in BugModel::ALL {
+                for k in 0..cfg.runs_per_cell {
+                    let mut rng = campaign.run_rng(DEFAULT_LABEL, &w.name, model, k);
+                    let Some(spec) = BugSpec::sample(model, &golden.census, bits, &mut rng) else {
+                        continue;
+                    };
+                    let run = |g| {
+                        let mut cache = WorkerCache::new();
+                        campaign.run_one_from(cfg.sim, DEFAULT_LABEL, 0, g, spec, &mut cache)
+                    };
+                    let (cut, saved) = run(&golden);
+                    let (full, full_saved) = run(&no_end);
+                    assert_eq!(
+                        full_saved.suffix, None,
+                        "{spec:?} stopped without a golden end"
+                    );
+                    assert_eq!(
+                        crate::export::record_row(&cut),
+                        crate::export::record_row(&full),
+                        "{}: {spec:?}",
+                        w.name
+                    );
+                    stopped += usize::from(saved.suffix.is_some());
+                }
+            }
+        }
+        assert!(stopped > 0, "no run stopped early");
+    }
+
+    #[test]
+    fn cut_off_waits_for_the_bug_to_fire() {
+        // Before activation an injected run *is* golden, so every other
+        // guard passes. A golden run whose later snapshots are all
+        // ineligible fork points makes runs fork early and pause at
+        // snapshots before their bug fires; their records must still be
+        // the full runs'.
+        let cfg = mini_cfg();
+        let campaign = Campaign::new(cfg.clone());
+        let mut early_pauses = 0;
+        for w in picks() {
+            let golden = GoldenRun::capture_with_snapshots(&w, cfg.sim, 0, cfg.snapshot_max)
+                .expect("golden");
+            let mut early = golden.clone();
+            for s in early.snapshots.iter_mut().skip(1) {
+                s.counts = [u64::MAX; idld_rrs::OpSite::COUNT];
+            }
+            let no_end = GoldenRun {
+                end: None,
+                ..golden.clone()
+            };
+            let bits = cfg.sim.rrs.pdst_bits();
+            for model in BugModel::ALL {
+                for k in 0..cfg.runs_per_cell {
+                    let mut rng = campaign.run_rng(DEFAULT_LABEL, &w.name, model, k);
+                    let Some(spec) = BugSpec::sample(model, &golden.census, bits, &mut rng) else {
+                        continue;
+                    };
+                    let fork = |g: &GoldenRun| g.snapshot_for(&spec).map_or(0, |s| s.cycle);
+                    early_pauses += usize::from(fork(&golden) > fork(&early));
+                    let run = |g| {
+                        let mut cache = WorkerCache::new();
+                        campaign
+                            .run_one_from(cfg.sim, DEFAULT_LABEL, 0, g, spec, &mut cache)
+                            .0
+                    };
+                    assert_eq!(
+                        crate::export::record_row(&run(&early)),
+                        crate::export::record_row(&run(&no_end)),
+                        "{}: {spec:?}",
+                        w.name
+                    );
+                }
+            }
+        }
+        assert!(early_pauses > 0, "no run paused before its bug fired");
+    }
+
+    #[test]
+    fn cut_off_refuses_unsettled_checkers_and_other_memory() {
+        let cfg = mini_cfg();
+        let w = idld_workloads::by_name("crc32").expect("exists");
+        let golden =
+            GoldenRun::capture_with_snapshots(&w, cfg.sim, 0, cfg.snapshot_max).expect("golden");
+        let s = &golden.snapshots[1];
+        // A fork at `s` with golden's checkers is golden at `s`.
+        let mut sim = Simulator::new(&w.program, cfg.sim);
+        let mut emu = None;
+        let mut checkers = CheckerSet::new();
+        sim.restore_from_arch(&s.state, emulator_at(&mut emu, &golden, s), &mut checkers)
+            .expect("gate");
+        assert!(converged(&sim, &checkers, s, &mut emu, &golden));
+        // Memory that is not golden's: the emulator of a program that
+        // stores a word golden never holds, then spins, stands in for the
+        // worker's emulator at the same step count.
+        let mut a = idld_isa::Asm::new();
+        let (value, base) = (idld_isa::ArchReg::new(1), idld_isa::ArchReg::new(2));
+        a.li(value, 0x5eed_5eed).li(base, 64).st(value, base, 0);
+        a.label("spin").j("spin");
+        let mut foreign = a.finish();
+        foreign.mem_size = w.program.mem_size;
+        let mut foreign = Emulator::new(&foreign);
+        foreign
+            .run_to_step(s.state.committed())
+            .expect("spins forever");
+        assert!(!converged(&sim, &checkers, s, &mut Some(foreign), &golden));
+        // One unbalanced free-list read: simulator state and memory are
+        // still golden's, the checkers no longer are and have not
+        // detected.
+        checkers.event(RrsEvent::FlRead(PhysReg(40)));
+        assert!(checkers.detections().iter().all(|(_, d)| d.is_none()));
+        assert!(!converged(&sim, &checkers, s, &mut emu, &golden));
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub mod smt;
 pub mod sweep;
 
 pub use campaign::{
-    injection_checkers, Campaign, CampaignConfig, CampaignResult, CellTiming, GoldenRun,
-    GoldenRunError, GoldenSnapshot, RunRecord, SnapshotStats,
+    injection_checkers, isolated, Campaign, CampaignConfig, CampaignResult, CellTiming, GoldenEnd,
+    GoldenRun, GoldenRunError, GoldenSnapshot, RunRecord, SnapshotStats,
 };
 pub use classify::{classify, classify_smt, manifestation_cycle_smt, OutcomeClass};
 pub use ledger::{Claim, Completion, ShardLedger};

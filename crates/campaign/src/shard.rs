@@ -41,7 +41,7 @@ use std::time::Duration;
 /// because the `idld-net` HELLO handshake carries it: a coordinator and a
 /// worker built against different shard formats must refuse to talk at
 /// connection time, not fail at merge time.
-pub const SHARD_MAGIC: &str = "idld-shard v5";
+pub const SHARD_MAGIC: &str = "idld-shard v6";
 
 use SHARD_MAGIC as MAGIC;
 
@@ -73,8 +73,13 @@ pub fn encode_shard(res: &CampaignResult, shard: usize, shards: usize) -> String
     let st = &res.snapshot_stats;
     let _ = writeln!(
         s,
-        "stats {} {} {} {}",
-        st.forked_runs, st.cold_runs, st.skipped_cycles, st.captured
+        "stats {} {} {} {} {} {}",
+        st.forked_runs,
+        st.cold_runs,
+        st.skipped_cycles,
+        st.captured,
+        st.converged_runs,
+        st.suffix_cycles
     );
     let _ = writeln!(s, "records {}", res.records.len());
     for r in &res.records {
@@ -185,8 +190,8 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         .ok_or_else(|| format!("malformed stats line {stats_line:?}"))?
         .split(' ')
         .collect();
-    if nums.len() != 4 {
-        return Err(format!("stats line needs 4 fields: {stats_line:?}"));
+    if nums.len() != 6 {
+        return Err(format!("stats line needs 6 fields: {stats_line:?}"));
     }
     let field = |i: usize| -> Result<u64, String> {
         nums[i]
@@ -198,6 +203,8 @@ pub fn decode_shard(s: &str) -> Result<ShardArtifact, String> {
         cold_runs: field(1)? as usize,
         skipped_cycles: field(2)?,
         captured: field(3)? as usize,
+        converged_runs: field(4)? as usize,
+        suffix_cycles: field(5)?,
     };
 
     // Section counts come from the artifact itself, so they are never
@@ -463,6 +470,8 @@ pub fn merge_shards(parts: &[ShardArtifact]) -> Result<MergedCampaign, String> {
         stats.cold_runs += p.stats.cold_runs;
         stats.skipped_cycles += p.stats.skipped_cycles;
         stats.captured += p.stats.captured;
+        stats.converged_runs += p.stats.converged_runs;
+        stats.suffix_cycles += p.stats.suffix_cycles;
     }
 
     Ok(MergedCampaign {
@@ -545,6 +554,18 @@ mod tests {
                     "wall-free timings.csv must be byte-identical ({shards} shards)"
                 );
                 assert_eq!(merged.runs(), single.records.len());
+                // Per-run savings sum to the same totals in any partition
+                // (`captured` counts each shard's own golden captures).
+                let saved = |st: &SnapshotStats| {
+                    (
+                        st.forked_runs,
+                        st.cold_runs,
+                        st.skipped_cycles,
+                        st.converged_runs,
+                        st.suffix_cycles,
+                    )
+                };
+                assert_eq!(saved(&merged.stats), saved(&single.snapshot_stats));
             }
         }
     }
@@ -607,12 +628,13 @@ mod tests {
         for bad in [
             "",
             "idld-shard v0\n",
-            "idld-shard v4\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 0\ntimings 0\ncells 0\n",
-            "idld-shard v5\nshard 0\n",
-            "idld-shard v5\nshard 0 2\nwall_us x\n",
-            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3\n",
-            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 6 7 8 9\n",
-            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 1\n",
+            "idld-shard v5\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 0\ntimings 0\ncells 0\n",
+            "idld-shard v6\nshard 0\n",
+            "idld-shard v6\nshard 0 2\nwall_us x\n",
+            "idld-shard v6\nshard 0 2\nwall_us 1\nstats 1 2 3 4\nrecords 0\ntimings 0\ncells 0\n",
+            "idld-shard v6\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 6 7 8 9\n",
+            "idld-shard v6\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 x\n",
+            "idld-shard v6\nshard 0 2\nwall_us 1\nstats 1 2 3 4 5 6\nrecords 1\n",
         ] {
             assert!(decode_shard(bad).is_err(), "must reject {bad:?}");
             assert!(
@@ -621,11 +643,11 @@ mod tests {
             );
         }
         let empty =
-            "idld-shard v5\nshard 0 1\nwall_us 1\nstats 0 0 0 0\nrecords 0\ntimings 0\ncells 0\n";
+            "idld-shard v6\nshard 0 1\nwall_us 1\nstats 0 0 0 0 0 0\nrecords 0\ntimings 0\ncells 0\n";
         assert!(decode_shard(&seal(empty)).is_ok(), "a sealed empty shard");
         let err = decode_shard(empty).expect_err("an unsealed artifact");
         assert!(err.contains("digest"), "{err}");
-        let stale = decode_shard(&seal(&empty.replace("v5", "v4"))).expect_err("old format");
+        let stale = decode_shard(&seal(&empty.replace("v6", "v5"))).expect_err("old format");
         assert!(stale.contains(MAGIC), "{stale}");
     }
 

@@ -19,7 +19,7 @@ use idld_rrs::{EventSink, RrsConfig, RrsEvent};
 /// multi-ported set/clear logic, plus flush recovery of the vector. This
 /// model implements the *recovered* variant: the negative-walk FL writes
 /// repair the vector through the regular event stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BitVectorChecker {
     free: Vec<bool>,
     expected_free: usize,

@@ -278,6 +278,28 @@ impl CheckerSet {
         self.checkers.iter().find_map(|c| c.xor_code())
     }
 
+    /// True when no future event can change what this set reports next
+    /// to `golden`, the same checkers at the same point of a run that
+    /// went on to detect nothing: every checker has detected (a checker
+    /// keeps its first detection), or equals its counterpart in `golden`
+    /// (checkers are deterministic observers, so over the same remaining
+    /// events it also ends without a detection). A [`AnyChecker::Boxed`]
+    /// checker has no equality and never settles before it detects; sets
+    /// of different lengths never settle.
+    pub fn settled_against(&self, golden: &CheckerSet) -> bool {
+        self.checkers.len() == golden.checkers.len()
+            && self.checkers.iter().zip(&golden.checkers).all(|pair| {
+                pair.0.detection().is_some()
+                    || match pair {
+                        (AnyChecker::Idld(a), AnyChecker::Idld(b)) => a == b,
+                        (AnyChecker::BitVector(a), AnyChecker::BitVector(b)) => a == b,
+                        (AnyChecker::Counter(a), AnyChecker::Counter(b)) => a == b,
+                        (AnyChecker::Parity(a), AnyChecker::Parity(b)) => a == b,
+                        _ => false,
+                    }
+            })
+    }
+
     /// First detection of the checker called `name`.
     pub fn detection_of(&self, name: &str) -> Option<Detection> {
         self.checkers
@@ -339,7 +361,6 @@ impl fmt::Debug for CheckerSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::idld::IdldChecker;
     use idld_rrs::RrsConfig;
 
     #[test]
@@ -367,6 +388,79 @@ mod tests {
         assert_eq!(cloned.len(), set.len());
         assert_eq!(cloned.detections(), set.detections());
         assert!(cloned.detection_of("idld").is_some());
+    }
+
+    /// A third-party checker: it stays behind [`AnyChecker::Boxed`].
+    #[derive(Clone)]
+    struct Silent;
+
+    impl EventSink for Silent {
+        fn event(&mut self, _ev: RrsEvent) {}
+    }
+
+    impl Checker for Silent {
+        fn name(&self) -> &'static str {
+            "silent"
+        }
+        fn end_cycle(&mut self, _cycle: u64) {}
+        fn on_pipeline_empty(&mut self, _cycle: u64) {}
+        fn detection(&self) -> Option<Detection> {
+            None
+        }
+        fn reset(&mut self) {}
+        fn clone_box(&self) -> Box<dyn Checker> {
+            Box::new(self.clone())
+        }
+        fn devirt(self: Box<Self>) -> AnyChecker {
+            AnyChecker::Boxed(self)
+        }
+    }
+
+    fn trio(cfg: &RrsConfig) -> CheckerSet {
+        let mut set = CheckerSet::new();
+        set.push(Box::new(IdldChecker::new(cfg)));
+        set.push(Box::new(BitVectorChecker::new(cfg)));
+        set.push(Box::new(CounterChecker::new(cfg)));
+        set
+    }
+
+    #[test]
+    fn settled_against_needs_each_checker_detected_or_equal() {
+        let cfg = RrsConfig::default();
+        let golden = trio(&cfg);
+        assert!(trio(&cfg).settled_against(&golden), "equal sets");
+
+        // An unbalanced event moves the IDLD code but not yet its
+        // detection: differing, undetected, so not settled.
+        let mut run = trio(&cfg);
+        run.event(RrsEvent::FlRead(idld_rrs::PhysReg(40)));
+        assert!(!run.settled_against(&golden));
+        // The end of the cycle stamps IDLD's detection, which it keeps
+        // whatever comes; the bit-vector and counter states differ from
+        // golden's too and have not detected yet, so still not settled.
+        run.end_cycle(7);
+        assert!(run.detection_of("idld").is_some());
+        assert!(!run.settled_against(&golden));
+        // Their pipeline-empty checks catch the missing register: every
+        // checker has detected, so the set settles although no state
+        // equals golden's.
+        run.on_pipeline_empty(8);
+        run.end_cycle(8);
+        assert!(run.detections().iter().all(|(_, d)| d.is_some()));
+        assert!(run.settled_against(&golden));
+
+        // A boxed checker has no equality: it never settles undetected.
+        let mut boxed = trio(&cfg);
+        boxed.push(Box::new(Silent));
+        let mut boxed_golden = trio(&cfg);
+        boxed_golden.push(Box::new(Silent));
+        assert!(!boxed.settled_against(&boxed_golden));
+
+        // Sets of different lengths never settle.
+        let mut short = CheckerSet::new();
+        short.push(Box::new(IdldChecker::new(&cfg)));
+        assert!(!short.settled_against(&golden));
+        assert!(!golden.settled_against(&short));
     }
 
     #[test]

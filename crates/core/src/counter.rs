@@ -9,7 +9,7 @@ use idld_rrs::{EventSink, RrsConfig, RrsEvent};
 /// Cost: `log2(num_phys)` bits — the cheapest scheme — but, as §V.E notes,
 /// it cannot detect a *combined* duplication and leakage (`x + 1 - 1 == x`)
 /// and it cannot see PdstID corruption at all.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CounterChecker {
     free: i64,
     expected_free: i64,

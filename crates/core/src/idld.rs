@@ -52,7 +52,7 @@ use idld_rrs::{EventSink, PhysReg, RrsConfig, RrsEvent, SmtRrs, NUM_THREADS};
 /// code, and with one context the flow code *is* the global code. The SMT
 /// core takes no checkpoints and has no retirement RAT, so those events
 /// are single-context.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IdldChecker {
     bits: u32,
     total: u32,
@@ -75,7 +75,7 @@ fn xor_of(cfg: &RrsConfig, ids: impl Iterator<Item = PhysReg>) -> u32 {
     ids.fold(0, |a, p| a ^ p.extended(cfg.pdst_bits()))
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct XorCkpt {
     ratx: u32,
     robx: u32,

@@ -13,7 +13,7 @@ use idld_rrs::{EventSink, RrsConfig, RrsEvent};
 /// comprehensive RRS protection". This checker is that companion: it fires
 /// on the first read of a corrupted entry, while IDLD only notices when the
 /// corrupted id eventually flows through a port (its eviction) — or never.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ParityChecker {
     detection: Option<Detection>,
     pending: bool,

@@ -21,7 +21,7 @@
 //! as its own violation class rather than aborting the fuzzer.
 
 use idld_bugs::{BugModel, BugSpec};
-use idld_campaign::{Campaign, CampaignConfig, GoldenRun, OutcomeClass, RunRecord};
+use idld_campaign::{isolated, Campaign, CampaignConfig, GoldenRun, OutcomeClass, RunRecord};
 use idld_isa::Program;
 use idld_sim::SimConfig;
 use idld_workloads::Workload;
@@ -227,15 +227,7 @@ pub fn soundness(
                 // checkpoints allocated); nothing to inject.
                 continue;
             };
-            let rec = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                campaign.run_one(&golden, spec)
-            }))
-            .unwrap_or_else(|payload| {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
+            let rec = isolated(|| campaign.run_one(&golden, spec)).unwrap_or_else(|message| {
                 RunRecord::poisoned(
                     idld_campaign::DEFAULT_LABEL,
                     0,

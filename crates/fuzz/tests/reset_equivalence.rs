@@ -68,14 +68,15 @@ fn injected_run(
 
 /// The campaign's fork of an injected run: the emulator replays the
 /// golden prefix up to `snap`, the simulator restores over whatever state
-/// it holds, and the hook resumes at the snapshot's census count. Returns
-/// the simulator's snapshot and memory right after the restore, then the
-/// run's result and detections.
+/// it holds, and the hook resumes at the snapshot's census count. Hands
+/// the just-restored simulator to `restored`, then returns its snapshot
+/// and memory right after the restore, the run's result and detections.
 fn forked_run(
     sim: &mut Simulator<'_>,
     golden: &GoldenRun,
     snap: &GoldenSnapshot,
     spec: BugSpec,
+    restored: impl FnOnce(&Simulator<'_>),
 ) -> (SimSnapshot, Memory, RunResult, [Option<u64>; 3]) {
     let mut emu = Emulator::new(&golden.workload.program);
     emu.run_to_step(snap.state.committed())
@@ -83,6 +84,7 @@ fn forked_run(
     let mut c = CheckerSet::new();
     sim.restore_from_arch(&snap.state, &emu, &mut c)
         .expect("bit-exactness gate");
+    restored(sim);
     let restored = sim.snapshot(&c);
     let restored_mem = sim.mem().clone();
     let mut hook = SingleShotHook::resumed(spec, snap.counts[spec.site.index()], snap.cycle);
@@ -159,7 +161,7 @@ fn reset_is_indistinguishable_from_new_after_injected_runs() {
             let want = injected_run(&mut fresh, &golden, &cfg, spec);
             assert_eq!(got, want, "{}: {spec:?} after a reset of {prev:?}", w.name);
             assert!(
-                sim.snapshot(&empty).state_eq(&fresh.snapshot(&empty)),
+                sim.same_state(&fresh.snapshot(&empty)),
                 "{}: end state of {spec:?} after a reset of {prev:?}",
                 w.name
             );
@@ -177,8 +179,7 @@ fn reset_is_indistinguishable_from_new_after_injected_runs() {
 
             sim.reset();
             assert!(
-                sim.snapshot(&empty)
-                    .state_eq(&Simulator::new(p, cfg).snapshot(&empty)),
+                sim.same_state(&Simulator::new(p, cfg).snapshot(&empty)),
                 "{}: reset after {spec:?} ({stop:?}) differs from power-on",
                 w.name
             );
@@ -248,15 +249,16 @@ fn fork_onto_a_dirtied_simulator_is_indistinguishable_from_new() {
             let Some(snap) = golden.snapshot_for(&spec) else {
                 continue;
             };
-            let got = forked_run(&mut sim, &golden, snap, spec);
             let mut fresh = Simulator::new(p, cfg);
-            let want = forked_run(&mut fresh, &golden, snap, spec);
-            assert!(
-                got.0.state_eq(&want.0),
-                "{}: restore of cycle {} over a run of {dirty_spec:?}",
-                w.name,
-                snap.cycle
-            );
+            let want = forked_run(&mut fresh, &golden, snap, spec, |_| {});
+            let got = forked_run(&mut sim, &golden, snap, spec, |restored| {
+                assert!(
+                    restored.same_state(&want.0),
+                    "{}: restore of cycle {} over a run of {dirty_spec:?}",
+                    w.name,
+                    snap.cycle
+                );
+            });
             assert_eq!(
                 got.1, want.1,
                 "{}: memory restored at cycle {} over a run of {dirty_spec:?}",
@@ -270,7 +272,7 @@ fn fork_onto_a_dirtied_simulator_is_indistinguishable_from_new() {
                 snap.cycle
             );
             assert!(
-                sim.snapshot(&empty).state_eq(&fresh.snapshot(&empty)),
+                sim.same_state(&fresh.snapshot(&empty)),
                 "{}: end state of {spec:?} forked over a run of {dirty_spec:?}",
                 w.name
             );

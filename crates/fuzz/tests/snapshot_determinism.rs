@@ -74,7 +74,7 @@ fn forked_runs_match_uninterrupted_runs() {
         assert_eq!(fork.mem(), sim.mem(), "iter {iter}: restored memory");
         let mut fseg = fork.begin_run(None, BUDGET);
         let stop = fseg.run_to_end(&mut fork, &mut NoFaults, &mut fork_checkers, None);
-        let fork_final = fork.snapshot(&fork_checkers);
+        let converged = fork.same_state(&ref_final);
         let fork_res = fseg.finish(&mut fork, stop, &mut fork_checkers);
 
         assert_eq!(fork_res.stop, ref_res.stop, "iter {iter}: stop reason");
@@ -98,7 +98,7 @@ fn forked_runs_match_uninterrupted_runs() {
             "iter {iter}: trace cycles"
         );
         assert!(
-            fork_final.state_eq(&ref_final),
+            converged,
             "iter {iter}: final simulator state diverged (pause {pause})"
         );
         assert_eq!(fork.mem(), ref_sim.mem(), "iter {iter}: final memory");

@@ -105,9 +105,9 @@ pub enum StepOutcome {
 /// The architectural effect of one instruction, as computed by [`execute`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Executed {
-    /// The value written to the destination register, for every
+    /// The destination register and the value written to it, for every
     /// instruction with one ([`Inst::dest`]).
-    pub value: Option<u64>,
+    pub dest: Option<(ArchReg, u64)>,
     /// The value appended to the output stream ([`Inst::Out`]).
     pub out: Option<u64>,
     /// The next program counter (`pc + 1` unless control transferred).
@@ -116,56 +116,62 @@ pub struct Executed {
     pub halt: bool,
 }
 
-/// Executes `inst` at `pc` on source operand values `src` (in
-/// [`Inst::sources`] order, 0 where absent) — the in-order definition of
-/// the ISA. A store writes `mem`; a load or store out of bounds returns its
+/// Executes `inst` at `pc`, reading its source registers through `reg` —
+/// the in-order definition of the ISA. The one `match` decodes the
+/// operands, reads exactly the sources [`Inst::sources`] names and names
+/// the destination [`Inst::dest`] does, so a caller decodes nothing else.
+/// A store writes `mem`; a load or store out of bounds returns its
 /// [`MemFault`] and leaves `mem` unchanged. The register file is the
-/// caller's: it reads `src` before and writes [`Executed::value`] after.
+/// caller's: it writes [`Executed::dest`] after.
 #[inline(always)]
 pub fn execute(
     inst: Inst,
     pc: usize,
-    src: [u64; 2],
+    reg: impl Fn(ArchReg) -> u64,
     mem: &mut Memory,
 ) -> Result<Executed, MemFault> {
     let mut ex = Executed {
-        value: None,
+        dest: None,
         out: None,
         next_pc: pc + 1,
         halt: false,
     };
+    let addr = |base: ArchReg, imm: i64| reg(base).wrapping_add(imm as u64);
     match inst {
-        Inst::Alu { op, .. } => ex.value = Some(op.apply(src[0], src[1])),
-        Inst::AluI { op, imm, .. } => ex.value = Some(op.apply(src[0], imm as u64)),
-        Inst::Li { imm, .. } => ex.value = Some(imm as u64),
-        Inst::Ld { imm, .. } | Inst::Ldw { imm, .. } | Inst::Ldb { imm, .. } => {
-            let width = inst.mem_width().expect("load has a width");
-            ex.value = Some(mem.load(src[0].wrapping_add(imm as u64), width)?);
-        }
-        Inst::St { imm, .. } | Inst::Stw { imm, .. } | Inst::Stb { imm, .. } => {
-            let width = inst.mem_width().expect("store has a width");
-            mem.store(src[0].wrapping_add(imm as u64), width, src[1])?;
-        }
-        Inst::Br { cond, target, .. } => {
-            if cond.eval(src[0], src[1]) {
+        Inst::Alu { op, rd, rs1, rs2 } => ex.dest = Some((rd, op.apply(reg(rs1), reg(rs2)))),
+        Inst::AluI { op, rd, rs1, imm } => ex.dest = Some((rd, op.apply(reg(rs1), imm as u64))),
+        Inst::Li { rd, imm } => ex.dest = Some((rd, imm as u64)),
+        Inst::Ld { rd, rs1, imm } => ex.dest = Some((rd, mem.load(addr(rs1, imm), 8)?)),
+        Inst::Ldw { rd, rs1, imm } => ex.dest = Some((rd, mem.load(addr(rs1, imm), 4)?)),
+        Inst::Ldb { rd, rs1, imm } => ex.dest = Some((rd, mem.load(addr(rs1, imm), 1)?)),
+        Inst::St { rs1, rs2, imm } => mem.store(addr(rs1, imm), 8, reg(rs2))?,
+        Inst::Stw { rs1, rs2, imm } => mem.store(addr(rs1, imm), 4, reg(rs2))?,
+        Inst::Stb { rs1, rs2, imm } => mem.store(addr(rs1, imm), 1, reg(rs2))?,
+        Inst::Br {
+            cond,
+            rs1,
+            rs2,
+            target,
+        } => {
+            if cond.eval(reg(rs1), reg(rs2)) {
                 ex.next_pc = target;
             }
         }
-        Inst::Jal { target, .. } => {
-            ex.value = Some((pc + 1) as u64);
+        Inst::Jal { rd, target } => {
+            ex.dest = Some((rd, (pc + 1) as u64));
             ex.next_pc = target;
         }
-        Inst::Jalr { imm, .. } => {
+        Inst::Jalr { rd, rs1, imm } => {
             // Targets beyond the address space clamp to `usize::MAX`
             // (always an invalid instruction index, so the *next* fetch
             // faults), matching the out-of-order model. Truncating the
             // target instead would, on 32-bit hosts, silently alias a
             // valid pc rather than fault.
-            let target = src[0].wrapping_add(imm as u64);
-            ex.value = Some((pc + 1) as u64);
+            let target = addr(rs1, imm);
+            ex.dest = Some((rd, (pc + 1) as u64));
             ex.next_pc = target.min(usize::MAX as u64) as usize;
         }
-        Inst::Out { .. } => ex.out = Some(src[0]),
+        Inst::Out { rs1 } => ex.out = Some(reg(rs1)),
         Inst::Halt => ex.halt = true,
         Inst::Nop => {}
     }
@@ -236,14 +242,12 @@ impl Emulator {
             return StepOutcome::Fault(EmuFault::InvalidPc(self.pc));
         };
         self.steps += 1;
-        let src = inst
-            .sources()
-            .map(|s| s.map_or(0, |r| self.regs[r.index()]));
-        let ex = match execute(inst, self.pc, src, &mut self.mem) {
+        let regs = &self.regs;
+        let ex = match execute(inst, self.pc, |r| regs[r.index()], &mut self.mem) {
             Ok(ex) => ex,
             Err(e) => return StepOutcome::Fault(e.into()),
         };
-        if let (Some(rd), Some(v)) = (inst.dest(), ex.value) {
+        if let Some((rd, v)) = ex.dest {
             self.regs[rd.index()] = v;
         }
         if let Some(v) = ex.out {
@@ -254,6 +258,19 @@ impl Emulator {
         }
         self.pc = ex.next_pc;
         StepOutcome::Continue
+    }
+
+    /// Returns this emulator to power-on in place: pc 0, zeroed registers,
+    /// no output, and memory back to the program image through
+    /// [`Memory::reset_dirty`], so a rewind costs the pages written since
+    /// and allocates nothing. A rewound emulator is indistinguishable
+    /// from [`Emulator::new`] of the same program.
+    pub fn rewind(&mut self) {
+        self.regs = [0; NUM_ARCH_REGS];
+        self.pc = 0;
+        self.mem.reset_dirty(&self.program.image);
+        self.output.clear();
+        self.steps = 0;
     }
 
     /// Advances execution until exactly `target` instructions have been
@@ -418,6 +435,39 @@ mod tests {
     }
 
     #[test]
+    fn rewind_returns_to_power_on_in_place() {
+        // Stores into the program's image and past it, plus output.
+        let mut a = Asm::new();
+        a.li(r(1), 0).li(r(2), 40).li(r(3), 4096);
+        a.label("loop");
+        a.add(r(4), r(3), r(1));
+        a.st(r(1), r(4), 0);
+        a.stb(r(1), r(1), 0);
+        a.out(r(1));
+        a.addi(r(1), r(1), 8);
+        a.blt(r(1), r(2), "loop");
+        a.halt();
+        let mut p = a.finish();
+        p.add_image(8, vec![0x5a; 32]);
+        let same = |a: &Emulator, b: &Emulator| {
+            (a.regs(), a.pc(), a.mem(), a.output(), a.steps())
+                == (b.regs(), b.pc(), b.mem(), b.output(), b.steps())
+        };
+        let fresh = Emulator::new(&p);
+        let mut emu = Emulator::new(&p);
+        for target in [7, 30, 0, 12] {
+            emu.run_to_step(target).expect("inside the program");
+            let mut want = Emulator::new(&p);
+            want.run_to_step(target).expect("inside the program");
+            assert!(same(&emu, &want), "run to step {target}");
+            emu.rewind();
+            assert!(same(&emu, &fresh), "rewound after step {target}");
+        }
+        // A rewound emulator runs the whole program like a new one.
+        assert_eq!(emu.run(1_000), Emulator::new(&p).run(1_000));
+    }
+
+    #[test]
     fn running_off_the_end_faults() {
         let mut a = Asm::new();
         a.nop();
@@ -509,13 +559,36 @@ mod tests {
     #[test]
     fn execute_defines_each_instruction_class() {
         use crate::inst::{AluOp, BrCond};
-        let ex = |value, out, next_pc, halt| Executed {
-            value,
+        let (rd, rs1, rs2) = (r(1), r(2), r(3));
+        let ex = |value: Option<u64>, out, next_pc, halt| Executed {
+            dest: value.map(|v| (rd, v)),
             out,
             next_pc,
             halt,
         };
-        let (rd, rs1, rs2) = (r(1), r(2), r(3));
+        // `execute` on operand values `src` in [`Inst::sources`] order,
+        // checking that it reads only those sources and names exactly the
+        // destination [`Inst::dest`] does.
+        let run = |inst: Inst, src: [u64; 2], mem: &mut Memory| {
+            let read = std::cell::RefCell::new(Vec::new());
+            let got = execute(
+                inst,
+                4,
+                |reg| {
+                    read.borrow_mut().push(reg);
+                    match inst.sources() {
+                        [Some(a), _] if a == reg => src[0],
+                        [_, Some(b)] if b == reg => src[1],
+                        _ => panic!("{inst} read {reg}, not a source"),
+                    }
+                },
+                mem,
+            );
+            if let Ok(ex) = got {
+                assert_eq!(ex.dest.map(|d| d.0), inst.dest(), "{inst}");
+            }
+            got
+        };
         let br = |cond| Inst::Br {
             cond,
             rs1,
@@ -572,24 +645,21 @@ mod tests {
         ];
         let mut mem = Memory::new(64);
         for (inst, src, want) in table {
-            assert_eq!(execute(inst, 4, src, &mut mem), Ok(want), "{inst}");
+            assert_eq!(run(inst, src, &mut mem), Ok(want), "{inst}");
         }
         assert_eq!(mem, Memory::new(64), "no memory instruction ran");
 
         // A store writes memory; loads of each width read it back.
         let st = Inst::St { rs1, rs2, imm: 8 };
         let word = 0x1122_3344_5566_7788;
-        assert_eq!(
-            execute(st, 4, [0, word], &mut mem),
-            Ok(ex(None, None, 5, false))
-        );
+        assert_eq!(run(st, [0, word], &mut mem), Ok(ex(None, None, 5, false)));
         for (inst, want) in [
             (Inst::Ld { rd, rs1, imm: 8 }, word),
             (Inst::Ldw { rd, rs1, imm: 8 }, 0x5566_7788),
             (Inst::Ldb { rd, rs1, imm: 8 }, 0x88),
         ] {
             assert_eq!(
-                execute(inst, 4, [0, 0], &mut mem),
+                run(inst, [0, 0], &mut mem),
                 Ok(ex(Some(want), None, 5, false)),
                 "{inst}"
             );
@@ -606,7 +676,7 @@ mod tests {
         ];
         for (inst, base, addr, width) in faults {
             assert_eq!(
-                execute(inst, 4, [base, u64::MAX], &mut mem),
+                run(inst, [base, u64::MAX], &mut mem),
                 Err(MemFault { addr, width }),
                 "{inst}"
             );

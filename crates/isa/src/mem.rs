@@ -187,6 +187,34 @@ impl Memory {
         }
     }
 
+    /// True when this memory holds the same bytes as `other`, comparing
+    /// only the pages dirty in either. Exact when both were built by the
+    /// same program's [`crate::Program::build_memory`], as for
+    /// [`Memory::restore_from`]: a page clean in both holds the baseline
+    /// bytes in both. Memories of different sizes are never equal.
+    pub fn same_bytes(&self, other: &Memory) -> bool {
+        if self.size() != other.size() {
+            return false;
+        }
+        let size = self.size();
+        self.dirty
+            .iter()
+            .zip(&other.dirty)
+            .enumerate()
+            .all(|(w, (&mine, &theirs))| {
+                let mut bits = mine | theirs;
+                while bits != 0 {
+                    let start = (w * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                    let end = (start + (1 << PAGE_SHIFT)).min(size);
+                    if self.bytes[start..end] != other.bytes[start..end] {
+                        return false;
+                    }
+                    bits &= bits - 1;
+                }
+                true
+            })
+    }
+
     /// Stores the low `width` bytes (1, 4 or 8) of `value` little-endian.
     ///
     /// # Errors
@@ -422,6 +450,55 @@ mod tests {
     #[should_panic(expected = "restore_from across memory sizes")]
     fn restore_from_refuses_another_size() {
         Memory::new(PAGE).restore_from(&Memory::new(2 * PAGE));
+    }
+
+    #[test]
+    fn same_bytes_compares_the_pages_dirty_in_either() {
+        let p = paged_program();
+        let fresh = p.build_memory();
+        let mut m = p.build_memory();
+        assert!(m.same_bytes(&fresh));
+        // A page dirty in one only: a differing byte there is seen from
+        // either side.
+        m.store(2 * PAGE as u64 + 10, 1, 0xee).unwrap();
+        assert!(!m.same_bytes(&fresh) && !fresh.same_bytes(&m));
+        // Rewriting the baseline byte leaves the page dirty but equal.
+        m.store(2 * PAGE as u64 + 10, 1, 0xab).unwrap();
+        assert_eq!(dirty_set(&m), vec![2]);
+        assert!(m.same_bytes(&fresh) && fresh.same_bytes(&m));
+        // Dirty in both, one differing byte.
+        let mut other = p.build_memory();
+        m.store(PAGE as u64 + 9, 4, 0x0102_0304).unwrap();
+        other.store(PAGE as u64 + 9, 4, 0x0102_0305).unwrap();
+        assert!(!m.same_bytes(&other));
+        // Equal after a restore, and still equal to a full comparison.
+        other.restore_from(&m);
+        assert!(other.same_bytes(&m) && m.same_bytes(&other));
+        assert_eq!(other, m);
+    }
+
+    #[test]
+    fn same_bytes_agrees_with_full_equality() {
+        let p = paged_program();
+        let mut rng = SmallRng::seed_from_u64(0x5a5a);
+        for _ in 0..300 {
+            let (mut a, mut b) = (p.build_memory(), p.build_memory());
+            for _ in 0..rng.gen_range(0..4usize) {
+                random_store(&mut rng, &mut a);
+            }
+            if rng.gen_range(0..2u32) == 0 {
+                b.restore_from(&a);
+            }
+            for _ in 0..rng.gen_range(0..3usize) {
+                random_store(&mut rng, &mut b);
+            }
+            assert_eq!(a.same_bytes(&b), a == b);
+        }
+    }
+
+    #[test]
+    fn same_bytes_refuses_another_size() {
+        assert!(!Memory::new(PAGE).same_bytes(&Memory::new(2 * PAGE)));
     }
 
     #[test]

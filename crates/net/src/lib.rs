@@ -3,7 +3,7 @@
 //! The one way a campaign is split across processes. `campaignd
 //! --shards N` runs this service on loopback with `N` local worker
 //! processes; `--listen`/`--connect` run the same coordinator and worker
-//! across hosts. The deterministic foundation is the `idld-shard v5`
+//! across hosts. The deterministic foundation is the `idld-shard v6`
 //! artifact format and its byte-identical merge
 //! (`idld_campaign::shard`); this crate adds the networking and
 //! fault-tolerance layers on top:

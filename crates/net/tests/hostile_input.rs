@@ -212,7 +212,7 @@ fn sealed(body: &str) -> String {
 fn resealed_artifact_with_unknown_metric_names_is_refused() {
     let artifact = |name: &str| {
         sealed(&format!(
-            "{SHARD_MAGIC}\nshard 0 1\nwall_us 1\nstats 0 0 0 0\nrecords 0\ntimings 0\n\
+            "{SHARD_MAGIC}\nshard 0 1\nwall_us 1\nstats 0 0 0 0 0 0\nrecords 0\ntimings 0\n\
              cells 1\ncell default/crc32/Leakage\nc {name} 1\nendcell\n"
         ))
     };

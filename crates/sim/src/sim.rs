@@ -4,7 +4,9 @@ use crate::config::SimConfig;
 use crate::predictor::Predictor;
 use crate::result::{CrashCause, RunResult, SimStop};
 use crate::stats::SimStats;
-use crate::trace::{finish_checks, observe_commit, record_cycle_probes, CommitTrace, TraceMonitor};
+use crate::trace::{
+    finish_checks, observe_commit, record_cycle_probes, CommitTrace, Divergence, TraceMonitor,
+};
 use idld_core::CheckerSet;
 use idld_isa::reg::NUM_ARCH_REGS;
 use idld_isa::{Emulator, Inst, Memory, Program};
@@ -570,6 +572,35 @@ impl<'p> Simulator<'p> {
         self.store_sets.clone_from(&snap.store_sets);
         *checkers = snap.checkers.clone();
         Ok(())
+    }
+
+    /// True when this simulator's state, except data memory, equals the
+    /// state `snap` captured: every field [`Simulator::snapshot`] takes
+    /// (checkers excluded). The fields the restore path derives from the
+    /// window (`waiting_seqs`, `src_lane`, `exec_done`, `store_seqs`)
+    /// follow from the captured ones, so equal captured state means the
+    /// two machines continue identically over equal memory. Compares
+    /// scalars first, so the usual mismatch costs a few loads, and
+    /// allocates nothing. Memory is not captured; compare
+    /// [`Simulator::mem`] separately.
+    pub fn same_state(&self, snap: &SimSnapshot) -> bool {
+        self.cycle == snap.cycle
+            && self.committed == snap.committed
+            && self.fetch_pc == snap.fetch_pc
+            && self.fetch_enabled == snap.fetch_enabled
+            && self.fetch_fault == snap.fetch_fault
+            && self.halt_in_flight == snap.halt_in_flight
+            && self.pending_flush == snap.pending_flush
+            && self.redirect_after_recovery == snap.redirect_after_recovery
+            && self.stats == snap.stats
+            && self.output == snap.output
+            && self.stat == snap.stat
+            && self.window == snap.window
+            && self.ready == snap.ready
+            && self.prf == snap.prf
+            && self.rrs == snap.rrs
+            && self.predictor == snap.predictor
+            && self.store_sets == snap.store_sets
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1407,6 +1438,12 @@ impl SimSnapshot {
         self.committed
     }
 
+    /// The checker state captured with the simulator.
+    #[inline]
+    pub fn checkers(&self) -> &CheckerSet {
+        &self.checkers
+    }
+
     /// The fast-forward bit-exactness gate: checks that `emu`, advanced to
     /// exactly this snapshot's committed instruction count, agrees with
     /// the snapshot's committed architectural view — register file (read
@@ -1462,32 +1499,6 @@ impl SimSnapshot {
             }
         }
         Ok(())
-    }
-
-    /// Structural equality of the captured *simulator* state (checker
-    /// state excluded — trait objects have no general equality; compare
-    /// their detections instead). Memory is not captured, so compare
-    /// [`Simulator::mem`] as well. Used by determinism tests to prove a
-    /// forked run converges to the same final state as an uninterrupted
-    /// one.
-    pub fn state_eq(&self, other: &SimSnapshot) -> bool {
-        self.rrs == other.rrs
-            && self.prf == other.prf
-            && self.ready == other.ready
-            && self.window == other.window
-            && self.stat == other.stat
-            && self.predictor == other.predictor
-            && self.fetch_pc == other.fetch_pc
-            && self.fetch_enabled == other.fetch_enabled
-            && self.fetch_fault == other.fetch_fault
-            && self.halt_in_flight == other.halt_in_flight
-            && self.pending_flush == other.pending_flush
-            && self.redirect_after_recovery == other.redirect_after_recovery
-            && self.cycle == other.cycle
-            && self.output == other.output
-            && self.committed == other.committed
-            && self.stats == other.stats
-            && self.store_sets == other.store_sets
     }
 }
 
@@ -1651,6 +1662,14 @@ impl<'g> SegmentedRun<'g> {
             recorder,
         )
         .expect("run_to_end never pauses")
+    }
+
+    /// The divergences from the golden trace recorded so far (none when
+    /// the run compares against no golden trace).
+    pub fn divergence(&self) -> Divergence {
+        self.monitor
+            .as_ref()
+            .map_or_else(Divergence::default, TraceMonitor::divergence)
     }
 
     /// Consumes the run and packages the [`RunResult`].
@@ -2003,7 +2022,7 @@ mod tests {
         assert_eq!(fork.mem(), sim.mem(), "memory rebuilt at the pause point");
         let mut fseg = fork.begin_run(None, 100_000);
         let stop = fseg.run_to_end(&mut fork, &mut NoFaults, &mut fork_checkers, None);
-        let fork_final = fork.snapshot(&fork_checkers);
+        let converged = fork.same_state(&ref_final);
         let fork_res = fseg.finish(&mut fork, stop, &mut fork_checkers);
 
         assert_eq!(fork_res.stop, SimStop::Halted);
@@ -2012,7 +2031,7 @@ mod tests {
         assert_eq!(fork_res.output, ref_res.output);
         assert_eq!(fork_res.stats, ref_res.stats);
         assert!(
-            fork_final.state_eq(&ref_final),
+            converged,
             "forked run converges to the uninterrupted final state"
         );
         assert_eq!(fork.mem(), ref_sim.mem(), "final memory");

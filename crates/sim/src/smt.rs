@@ -28,7 +28,7 @@ use crate::trace::{
     finish_checks, observe_commit, record_cycle_probes, CommitTrace, Divergence, TraceMonitor,
 };
 use idld_core::CheckerSet;
-use idld_isa::{execute, InstKind, Memory, Program};
+use idld_isa::{execute, ArchReg, InstKind, Memory, Program};
 use idld_obs::{NullRecorder, ObsEvent, Recorder};
 use idld_rrs::{ContentSnapshot, FaultHook, PhysReg, RrsAssert, SmtRrs, NUM_THREADS};
 use std::collections::VecDeque;
@@ -127,6 +127,15 @@ impl SmtRunResult {
     }
 }
 
+/// Reads physical register `idx` of the shared PRF. A value-corrupted
+/// PdstID can point outside the PRF; reads of such ids return 0 rather
+/// than tearing down the simulation (the checkers flag the corruption,
+/// the campaign classifies the architectural damage).
+#[inline]
+fn prf_read(prf: &[u64], idx: usize) -> u64 {
+    prf.get(idx).copied().unwrap_or(0)
+}
+
 /// The 2-way SMT simulator. See the module docs for the machine model.
 pub struct SmtSimulator<'p> {
     programs: [&'p Program; NUM_THREADS],
@@ -192,7 +201,7 @@ impl<'p> SmtSimulator<'p> {
     /// Thread `t`'s architectural value of logical register `arch`
     /// (through its RAT into the shared PRF).
     pub fn arch_reg(&self, t: usize, arch: usize) -> u64 {
-        self.prf_read(self.smt.rat_lookup(t, arch).index())
+        prf_read(&self.prf, self.smt.rat_lookup(t, arch).index())
     }
 
     /// Thread `t`'s private data memory.
@@ -208,15 +217,6 @@ impl<'p> SmtSimulator<'p> {
     /// Thread `t`'s next fetch pc.
     pub fn pc(&self, t: usize) -> usize {
         self.ctx[t].pc
-    }
-
-    #[inline]
-    fn prf_read(&self, idx: usize) -> u64 {
-        // A value-corrupted PdstID can point outside the PRF; reads of
-        // such ids return 0 rather than tearing down the simulation (the
-        // checkers flag the corruption, the campaign classifies the
-        // architectural damage).
-        self.prf.get(idx).copied().unwrap_or(0)
     }
 
     #[inline]
@@ -336,11 +336,10 @@ impl<'p> SmtSimulator<'p> {
             recorder.record(self.cycle, ObsEvent::Fetch { pc: pc as u32 });
             // Operand read through the RAT *before* this instruction's
             // rename updates it (register read-after-write semantics).
-            let src = inst
-                .sources()
-                .map(|s| s.map_or(0, |r| self.arch_reg(t, r.index())));
+            let (smt, prf) = (&self.smt, &self.prf[..]);
+            let reg = |r: ArchReg| prf_read(prf, smt.rat_lookup(t, r.index()).index());
             // Architectural execution at rename, in program order.
-            let ex = match execute(inst, pc, src, &mut self.ctx[t].mem) {
+            let ex = match execute(inst, pc, reg, &mut self.ctx[t].mem) {
                 Ok(ex) => ex,
                 Err(e) => {
                     self.ctx[t].fetch_stopped = true;
@@ -370,7 +369,7 @@ impl<'p> SmtSimulator<'p> {
                 checkers,
             )?;
             let pdst = self.alloc_buf[0];
-            if let (Some(v), Some(p)) = (ex.value, pdst) {
+            if let (Some((_, v)), Some(p)) = (ex.dest, pdst) {
                 self.prf_write(p.index(), v);
             }
             let seq = self.seq;
